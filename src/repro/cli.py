@@ -406,6 +406,8 @@ def _cmd_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .simulate import DEFAULT_ENGINE, ENGINES
+
     p = argparse.ArgumentParser(
         prog="python -m repro",
         description="PSelInv tree-based restricted collectives reproduction",
@@ -443,10 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
     def engine_option(sp):
         sp.add_argument(
             "--engine",
-            default="batch",
-            choices=["batch", "vectorized", "legacy"],
-            help="DES engine: calendar-queue batch dispatch (default), "
-            "compiled vectorized dispatch, or the binary-heap reference; "
+            default=DEFAULT_ENGINE,
+            choices=ENGINES,
+            help="DES engine: compiled vectorized dispatch (default), "
+            "calendar-queue batch dispatch, or the binary-heap reference; "
             "outcomes are bit-identical",
         )
 

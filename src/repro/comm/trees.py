@@ -531,6 +531,18 @@ class _TreeStructure:
             family=self.family,
         )
 
+    def compile(self, root: int, others: list[int]) -> CompiledTree:
+        """:meth:`relabel` for the DES: the same rank order, laid out as
+        a :class:`CompiledTree` (plain lists) instead of ndarrays."""
+        if self.offset:
+            k = self.offset
+            ranks = [root, *others[k:], *others[:k]]
+        elif self.perm is not None:
+            ranks = [root, *(others[i] for i in self.perm)]
+        else:
+            ranks = [root, *others]
+        return CompiledTree(root, ranks, self.family, self.child_counts)
+
 
 class _TreeLRU:
     """Small LRU cache for :class:`_TreeStructure` with hit/miss counters.
@@ -768,6 +780,27 @@ def _build_structure(key: tuple) -> _TreeStructure:
     )
 
 
+def _structure(
+    scheme: str, n_others: int, seed: int, hybrid_threshold: int
+) -> _TreeStructure:
+    """The cached structure for one collective shape (counted lookup).
+
+    The one entry point into the shared cache: :func:`tree_arrays` (the
+    volume model and the batch/legacy engines) and :func:`compiled_tree`
+    (the vectorized engine) both resolve their trees here, so every
+    engine shares one set of entries and one set of hit/miss counters.
+    """
+    key = structure_tree_key(
+        scheme, n_others, seed, hybrid_threshold=hybrid_threshold
+    )
+    cache = _cache()
+    struct_ = cache.get(key)
+    if struct_ is None:
+        struct_ = _build_structure(key)
+        cache.put(key, struct_)
+    return struct_
+
+
 def tree_arrays(
     scheme: str,
     root: int,
@@ -789,38 +822,21 @@ def tree_arrays(
     """
     root = int(root)
     others = tuple(_normalize(root, participants))
-    key = structure_tree_key(
-        scheme, len(others), seed, hybrid_threshold=hybrid_threshold
+    return _structure(scheme, len(others), seed, hybrid_threshold).relabel(
+        root, others
     )
-    cache = _cache()
-    struct_ = cache.get(key)
-    if struct_ is None:
-        struct_ = _build_structure(key)
-        cache.put(key, struct_)
-    return struct_.relabel(root, others)
-
-
-@lru_cache(maxsize=4096)
-def _child_counts_list(family: str, p: int) -> list[int]:
-    """Per-position out-degrees of one positional shape as a plain list.
-
-    The vectorized reduce state machines copy this once per collective to
-    seed their pending counters; sharing the memo keeps that copy a C-level
-    ``list()`` call instead of an ndarray round trip.
-    """
-    kids, _ = _POSITION_SHAPES[family](p)
-    return kids.tolist()
 
 
 class CompiledTree:
     """One tree compiled for the vectorized collective state machines.
 
     Where :class:`TreeArrays` is an ndarray view (the volume engine's
-    format), this is the DES hot-path format: plain Python lists indexed
-    by construction-order position, sharing the per-shape CSR adjacency,
-    parent-position, and child-count memos across every tree of the same
-    family and size.  ``ranks[i]`` is the rank at position ``i`` (root at
-    position 0); ``indptr``/``childpos`` give each position's children in
+    format), this is the DES hot-path format: the ranks as a plain
+    Python list indexed by construction-order position, sharing the
+    per-shape CSR adjacency and parent-position memos and the cached
+    structure's child counts across every tree of the same family and
+    size.  ``ranks[i]`` is the rank at position ``i`` (root at position
+    0); ``indptr``/``childpos`` give each position's children in
     ascending position -- the exact forwarding order of the dict-based
     builders.
     """
@@ -841,6 +857,7 @@ class CompiledTree:
         root: int,
         ranks: list[int],
         family: str,
+        child_counts: np.ndarray,
     ) -> None:
         p = len(ranks)
         self.root = root
@@ -848,7 +865,7 @@ class CompiledTree:
         self.size = p
         self.indptr, self.childpos = _children_csr(family, p)
         self.parentpos = _parent_positions(family, p)
-        self.child_counts = _child_counts_list(family, p)
+        self.child_counts = child_counts
         self._pos: dict[int, int] | None = None
 
     def pos_of(self) -> dict[int, int]:
@@ -871,28 +888,18 @@ def compiled_tree(
 
     ``participants`` is expected in the planner's canonical form: a
     sorted tuple that includes the root (``CollectiveSpec.participants``).
-    The orderings produced are bit-identical to :func:`tree_arrays` /
-    :func:`build_tree` for the same arguments (pinned by tests); only the
-    container types differ.
+    The structure comes from the same shared cache as
+    :func:`tree_arrays` (and is counted by :func:`tree_cache_info`), so
+    the orderings are bit-identical to :func:`tree_arrays` /
+    :func:`build_tree` for the same arguments; only the container types
+    differ.
     """
     root = int(root)
     i = participants.index(root)
     others = [*participants[:i], *participants[i + 1 :]]
-    n = len(others)
-    scheme = _resolve_scheme(scheme, n, hybrid_threshold)
-    if scheme == "shifted":
-        if n > 1:
-            k = rotation_offset(seed, n)
-            others = others[k:] + others[:k]
-    elif scheme == "randperm":
-        if n > 1:
-            perm = permutation_indices(seed, n)
-            others = [others[i] for i in perm]
-    elif scheme not in ("flat", "binary", "binomial"):
-        raise ValueError(
-            f"unknown tree scheme {scheme!r}; expected one of {TREE_SCHEMES}"
-        )
-    return CompiledTree(root, [root, *others], _FAMILY_OF[scheme])
+    return _structure(scheme, len(others), seed, hybrid_threshold).compile(
+        root, others
+    )
 
 
 def build_tree(

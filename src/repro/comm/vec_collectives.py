@@ -9,8 +9,9 @@ lookups, and full SoA message records for payload-less symbolic traffic.
 The classes here are their ``engine="vectorized"`` counterparts, compiled
 against a :class:`~repro.comm.trees.CompiledTree`:
 
-* positions, adjacency and child counts come straight from the per-shape
-  memos (shared across every tree of the same family and size);
+* positions, adjacency and child counts come straight from the shared
+  structure cache and per-shape memos (shared across every tree of the
+  same family and size);
 * forwarded messages travel on the machine's *point* route
   (:meth:`VecMachine.send_pt`) -- a 5-tuple record instead of an 8-column
   SoA slot, since symbolic collective traffic never carries a payload;
@@ -21,7 +22,11 @@ against a :class:`~repro.comm.trees.CompiledTree`:
   rank -> position dict lookup;
 * wide fan-outs (flat/hybrid trees) are emitted as one column batch via
   :meth:`VecMachine.send_batch`, which vectorizes the per-pair network
-  arithmetic.
+  arithmetic;
+* no collective stores a bound method of itself (its delivery callback
+  is looked up per forward instead), so a collective forms no reference
+  cycle and is freed by refcounting as soon as its supernode retires
+  and its last message lands.
 
 Send order, finish order, and degenerate-tree behavior replicate the
 array classes exactly (children forward in ascending position; zero-input
@@ -60,7 +65,6 @@ class VecBroadcast:
         "_ranks",
         "_indptr",
         "_childpos",
-        "_om",
         "_send",
     )
 
@@ -85,7 +89,6 @@ class VecBroadcast:
         self._ranks = tree.ranks
         self._indptr = tree.indptr
         self._childpos = tree.childpos
-        self._om = self.on_message
         # The machine's send closures exist before any collective does,
         # so they can be captured once per collective instead of looked
         # up per forwarded message.
@@ -114,7 +117,7 @@ class VecBroadcast:
                     self.tag,
                     self.nbytes,
                     self.cid,
-                    self._om,
+                    self.on_message,
                     auxs,
                 )
             else:
@@ -122,7 +125,7 @@ class VecBroadcast:
                 tag = self.tag
                 nbytes = self.nbytes
                 cid = self.cid
-                om = self._om
+                om = self.on_message
                 for ci in range(lo, hi):
                     child = childpos[ci]
                     send(dst, ranks[child], tag, nbytes, cid, om, child)
@@ -150,7 +153,6 @@ class VecReduce:
         "_ranks",
         "_parents",
         "_pending",
-        "_om",
         "_send",
     )
 
@@ -174,11 +176,10 @@ class VecReduce:
         self.ctx = ctx
         self._ranks = tree.ranks
         self._parents = tree.parentpos
-        pending = list(tree.child_counts)
+        pending = tree.child_counts.tolist()
         for p in contributor_pos:
             pending[p] += 1
         self._pending = pending
-        self._om = self.on_message
         self._send = machine.send_pt
         for i, expected in enumerate(pending):
             if expected == 0:
@@ -212,7 +213,7 @@ class VecReduce:
                 self.tag,
                 self.nbytes,
                 self.cid,
-                self._om,
+                self.on_message,
                 parent,
             )
         else:

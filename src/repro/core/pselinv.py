@@ -37,25 +37,29 @@ Two modes share all protocol code:
   counts and the virtual clock matter.  This is the mode the large-scale
   strong-scaling experiments use.
 
-Three interchangeable execution engines (``engine=``):
+Three interchangeable execution engines (``engine=``, default
+:data:`~repro.simulate.DEFAULT_ENGINE`):
 
-* ``"batch"`` (default) -- the calendar-queue
-  :class:`~repro.simulate.engine.BatchSimulator` +
-  :class:`~repro.simulate.machine.BatchMachine` stack with array-based
-  collectives (:class:`~repro.comm.collectives.ArrayBroadcast` /
-  :class:`~repro.comm.collectives.ArrayReduce`) routed over positional
-  :class:`~repro.comm.trees.TreeArrays`.
-* ``"vectorized"`` -- the :class:`~repro.simulate.vec.VecMachine` /
+* ``"vectorized"`` (default) -- the :class:`~repro.simulate.vec.VecMachine` /
   :class:`~repro.simulate.vec.VecSimulator` stack plus a *compiled*
   protocol layer: on window entry every per-event quantity of a
   supernode (GEMM/normalize/diag durations, send destinations, tags,
   readiness keys) is precomputed in bulk with numpy, collectives run as
   :class:`~repro.comm.vec_collectives.VecBroadcast` /
   :class:`~repro.comm.vec_collectives.VecReduce` state machines over
-  shared :class:`~repro.comm.trees.CompiledTree` tables, and the hot
-  handlers are closure-free (pre-registered handler ids + tuple
-  arguments).  Numeric or telemetry-instrumented runs transparently
-  fall back to the batch protocol on the same machine.
+  :class:`~repro.comm.trees.CompiledTree` tables from the shared tree
+  structure cache, and the hot handlers are closure-free
+  (pre-registered handler ids + tuple arguments).  A supernode's
+  compiled tables live only while it is inside the lookahead window:
+  they are released when it retires, so the live heap is bounded by the
+  window, not by the run.  Numeric or telemetry-instrumented runs
+  transparently fall back to the batch protocol on the same machine.
+* ``"batch"`` -- the calendar-queue
+  :class:`~repro.simulate.engine.BatchSimulator` +
+  :class:`~repro.simulate.machine.BatchMachine` stack with array-based
+  collectives (:class:`~repro.comm.collectives.ArrayBroadcast` /
+  :class:`~repro.comm.collectives.ArrayReduce`) routed over positional
+  :class:`~repro.comm.trees.TreeArrays`.
 * ``"legacy"`` -- the original heapq :class:`Simulator` + per-message
   :class:`Message` objects + dict-based collectives.
 
@@ -69,6 +73,7 @@ simply fastest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any
 
 import numpy as np
@@ -77,6 +82,7 @@ from scipy.linalg import solve_triangular
 from ..comm.collectives import ArrayBroadcast, ArrayReduce, TreeBroadcast, TreeReduce
 from ..comm.trees import build_tree, compiled_tree, tree_arrays, tree_cache_info
 from ..comm.vec_collectives import VecBroadcast, VecReduce
+from ..simulate import DEFAULT_ENGINE, ENGINES
 from ..simulate.machine import BatchMachine, CommStats, Machine, Message
 from ..simulate.vec import VecMachine
 from ..simulate.network import Network, NetworkConfig
@@ -88,6 +94,10 @@ from .plan import BYTES_PER_ENTRY, SupernodePlan, iter_plans
 from .volume import collective_seed
 
 __all__ = ["PSelInvResult", "SimulatedPSelInv", "run_pselinv"]
+
+# What a retired supernode's compiled tables are reset to: read-only and
+# empty, so a late lookup finds nothing instead of a stale entry.
+_RETIRED: Any = MappingProxyType({})
 
 
 @dataclass
@@ -178,12 +188,11 @@ class SimulatedPSelInv:
         tree_cache: dict | None = None,
         event_log: list | None = None,
         telemetry=None,
-        engine: str = "batch",
+        engine: str = DEFAULT_ENGINE,
     ) -> None:
-        if engine not in ("batch", "legacy", "vectorized"):
+        if engine not in ENGINES:
             raise ValueError(
-                f"unknown engine {engine!r}; expected 'batch', 'legacy', "
-                "or 'vectorized'"
+                f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
         self.engine = engine
         self.struct = struct
@@ -270,14 +279,16 @@ class SimulatedPSelInv:
         self.waiters: dict[tuple[int, int], list] = {}
         self.done_diag = 0
         self._ran = False
-        # Trees depend on (scheme, seed, grid, struct) -- and on the
-        # engine, which determines the cached representation (positional
-        # TreeArrays vs dict CommTree); callers sweeping over jitter/
-        # placement seeds may share a cache across runs with identical
-        # configuration.  A guard key catches accidental reuse.
+        # Trees depend on (scheme, seed, grid, struct, hybrid threshold)
+        # -- and on the engine, which determines the cached representation
+        # (CompiledTree, positional TreeArrays or dict CommTree); callers
+        # sweeping over jitter/placement seeds may share a cache across
+        # runs with identical configuration.  A guard key catches
+        # accidental reuse.
         self._tree_cache = tree_cache if tree_cache is not None else {}
         guard = (
-            "__config__", scheme, seed, grid.pr, grid.pc, struct.nsup, engine,
+            "__config__", scheme, seed, grid.pr, grid.pc, struct.nsup,
+            hybrid_threshold, engine,
         )
         prior = self._tree_cache.setdefault("__guard__", guard)
         if prior != guard:
@@ -791,8 +802,24 @@ class SimulatedPSelInv:
 
     def _colred_fin_vec(self, st) -> None:
         k = st.plan.k
+        self._retire_vec(st)
         self._mark_ready_vec(k * self._nsup + k)
         self._supernode_finished()
+
+    @staticmethod
+    def _retire_vec(st) -> None:
+        """Window exit: release supernode ``st``'s compiled tables.
+
+        Once its diagonal block is finished, nothing of the supernode is
+        pending except cross-backs in flight (which carry only int
+        readiness keys) and, possibly, col-bcast relay deliveries, which
+        must find an empty table rather than a stale one.  Dropping the
+        tables frees every collective and countdown the supernode owned
+        by refcounting, so the live heap follows the lookahead window
+        rather than growing with the run.
+        """
+        st.rr_info = st.norm_vec = st.bcast_gemms = _RETIRED
+        st.gemms_left = st.diag_left = _RETIRED
 
     # -- phase 0: kickoff ------------------------------------------------------
 
@@ -864,6 +891,7 @@ class SimulatedPSelInv:
             linv = solve_triangular(payload, ident, lower=True, unit_diagonal=True)
             st.diag_value = solve_triangular(payload, linv, lower=False)
         if self._vec:
+            self._retire_vec(st)
             self._mark_ready_vec(k * self._nsup + k)
         else:
             self._mark_ainv_ready((k, k), st.diag_value, self.grid.owner(k, k))
@@ -1081,6 +1109,7 @@ class SimulatedPSelInv:
         compute = float(stats.compute_busy.mean())
         comm = float(makespan - stats.compute_busy.mean())
         inverse = self._gather_inverse() if self.numeric else None
+        self.machine.close()
         return PSelInvResult(
             scheme=self.scheme,
             grid=self.grid,

@@ -552,6 +552,8 @@ class SimulatedPSelInvUnsym:
             )
         stats = self.machine.stats
         compute = float(stats.compute_busy.mean())
+        inverse = self._gather() if self.numeric else None
+        self.machine.close()
         return PSelInvResult(
             scheme=self.scheme,
             grid=self.grid,
@@ -561,7 +563,7 @@ class SimulatedPSelInvUnsym:
             numeric=self.numeric,
             compute_time=compute,
             communication_time=float(makespan - compute),
-            inverse=self._gather() if self.numeric else None,
+            inverse=inverse,
         )
 
     def _gather(self) -> SelectedInverse:

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
+from ..simulate import DEFAULT_ENGINE
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.grid import ProcessorGrid
     from ..sparse import AnalyzedProblem
@@ -112,16 +114,17 @@ def get_tree_cache(
     scheme: str,
     seed: int,
     hybrid_threshold: int = 8,
-    engine: str = "batch",
+    engine: str = DEFAULT_ENGINE,
 ) -> dict:
     """Shared communication-tree cache for one simulation configuration.
 
     Trees depend on ``(struct, grid, scheme, seed, hybrid_threshold)``
     -- and on the engine, which fixes the cached representation
-    (positional ``TreeArrays`` for batch, dict ``CommTree`` for legacy)
-    -- but not on jitter/placement seeds, so repeated runs of a sweep
-    point share one cache -- the same sharing the serial Fig. 8 loop
-    used.  Problems outside the memo get a fresh private cache.
+    (``CompiledTree`` for vectorized, positional ``TreeArrays`` for
+    batch, dict ``CommTree`` for legacy) -- but not on jitter/placement
+    seeds, so repeated runs of a sweep point share one cache -- the same
+    sharing the serial Fig. 8 loop used.  Problems outside the memo get a
+    fresh private cache.
     """
     pkey = problem_key_of(prob)
     if pkey is None:

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..simulate import DEFAULT_ENGINE
 from ..simulate.network import NetworkConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -62,13 +63,13 @@ class ExperimentSpec:
     # snapshot back in ``RunRecord.metrics``.  Off by default; the
     # simulated outcome is bit-identical either way.
     telemetry: bool = False
-    # DES engine: "batch" (calendar-queue scheduler, SoA message
-    # records), "vectorized" (batch plus compiled collective state
-    # machines and batched delivery), or "legacy" (binary-heap
+    # DES engine: "vectorized" (the default: compiled collective state
+    # machines and batched delivery), "batch" (calendar-queue
+    # scheduler, SoA message records), or "legacy" (binary-heap
     # reference).  The simulated outcome is bit-identical across
     # engines; this knob exists for head-to-head benchmarking and as an
     # escape hatch / oracle.
-    engine: str = "batch"
+    engine: str = DEFAULT_ENGINE
 
     def describe(self) -> str:
         """One line naming the experiment (used in progress and errors)."""

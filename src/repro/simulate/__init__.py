@@ -11,7 +11,16 @@ from .machine import BatchMachine, CommStats, Machine, Message, TraceEvent
 from .network import Network, NetworkConfig
 from .vec import VecCommStats, VecMachine, VecSimulator
 
+#: The DES engine every entry point uses unless ``engine=`` says
+#: otherwise (``SimulatedPSelInv``, ``ExperimentSpec``, the runner's tree
+#: caches and the CLI ``--engine`` option all read this one constant).
+DEFAULT_ENGINE = "vectorized"
+#: Every selectable engine; outcomes are bit-identical across them.
+ENGINES = (DEFAULT_ENGINE, "batch", "legacy")
+
 __all__ = [
+    "DEFAULT_ENGINE",
+    "ENGINES",
     "BatchMachine",
     "BatchSimulator",
     "CommStats",

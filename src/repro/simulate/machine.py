@@ -26,6 +26,7 @@ messages per run), so per-rank clocks and counters are plain Python lists
 
 from __future__ import annotations
 
+import gc
 from bisect import insort
 from heapq import heappush
 from typing import Any, Callable, NamedTuple
@@ -224,6 +225,7 @@ class Machine:
         self._ejection_time = network.ejection_time
         # Message handler per rank: fn(msg) -> None.
         self._handlers: list[Callable[[Message], None] | None] = [None] * nranks
+        self._closed = False
 
     # -- wiring --------------------------------------------------------------
 
@@ -364,8 +366,39 @@ class Machine:
     # -- lifecycle ---------------------------------------------------------------
 
     def run(self, max_events: int | None = None) -> float:
-        """Drain all events; returns the makespan (final virtual time)."""
-        return self.sim.run(max_events=max_events)
+        """Drain all events; returns the makespan (final virtual time).
+
+        The cyclic garbage collector is paused for the drain and the
+        caller's setting restored afterwards (also when a handler
+        raises).  A drain allocates millions of short-lived objects and
+        creates no reference cycles -- retired protocol state is freed
+        by refcounting -- so every full collection it would trigger
+        walks the live heap for nothing.
+        """
+        if self._closed:
+            raise RuntimeError("machine is closed")
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self.sim.run(max_events=max_events)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def close(self) -> None:
+        """Release the per-run buffers once the simulation is over.
+
+        A finished simulation is a reference cycle (the scheduler's
+        handler table points back at the machine and the protocol), so
+        it is only reclaimed by a full collection -- which the paused
+        drains make rare.  Emptying the O(nranks^2) channel clocks (and,
+        on the batch machines, the pair memo and the scheduler's
+        per-event columns) here keeps a dead run small until then.
+        Stats, counters and the clock stay readable; a closed machine
+        refuses to run again.
+        """
+        self._closed = True
+        self._channel_last.clear()
 
 
 class BatchMachine(Machine):
@@ -527,6 +560,15 @@ class BatchMachine(Machine):
     def _bind_recv(self, cid: int) -> None:
         stats = self.stats
         self._recv_cols[cid] = stats._get(stats._received, self._cat_names[cid])
+
+    def close(self) -> None:
+        super().close()
+        self._pairs.clear()
+        # The scheduler's per-event columns grow with the run (one entry
+        # per event ever scheduled); the machine holds the same lists.
+        del self._s_times[:]
+        del self._s_hids[:]
+        del self._s_args[:]
 
     def _message_view(self, i: int, payload: Any) -> Message:
         """Materialize a :class:`Message` for the telemetry hooks."""

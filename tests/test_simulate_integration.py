@@ -104,6 +104,21 @@ class TestTreeCacheGuard:
                 problem.struct, ProcessorGrid(3, 3), "shifted", tree_cache=cache
             )
 
+    def test_hybrid_threshold_change_rejected(self, problem):
+        """A hybrid run's trees depend on its threshold: a cache built at
+        one threshold must not serve a run at another."""
+        cache: dict = {}
+        grid = ProcessorGrid(4, 4)
+        SimulatedPSelInv(
+            problem.struct, grid, "hybrid", hybrid_threshold=2,
+            tree_cache=cache,
+        ).run()
+        with pytest.raises(ValueError, match="different configuration"):
+            SimulatedPSelInv(
+                problem.struct, grid, "hybrid", hybrid_threshold=64,
+                tree_cache=cache,
+            )
+
     def test_same_config_reuse_accepted(self, problem):
         cache: dict = {}
         grid = ProcessorGrid(2, 2)

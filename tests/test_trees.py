@@ -370,6 +370,48 @@ class TestStructureCacheRelabeling:
         assert ta.family == tb.family
 
 
+class TestCompiledTree:
+    """The vectorized engine's trees come out of the same structure
+    cache, counted by the same counters, in the same rank order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sets(st.integers(0, 2000), min_size=1, max_size=48),
+        st.integers(0, 2**31 - 1),
+        st.sampled_from(["flat", "binary", "binomial", "shifted", "randperm", "hybrid"]),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_matches_tree_arrays(self, participants, seed, scheme, root_pick):
+        from repro.comm.trees import compiled_tree, tree_arrays
+
+        parts = tuple(sorted(participants))
+        root = parts[root_pick % len(parts)]
+        ct = compiled_tree(scheme, root, parts, seed)
+        arrs = tree_arrays(scheme, root, parts, seed)
+        assert ct.ranks == arrs.ranks.tolist()
+        assert ct.parentpos == arrs.parent_pos.tolist()
+        assert ct.child_counts is arrs.child_counts
+        assert (ct.indptr, ct.childpos) == arrs.children_csr()
+
+    def test_lookups_are_counted_by_the_shared_cache(self):
+        from repro.comm.trees import (
+            compiled_tree,
+            tree_arrays,
+            tree_cache_clear,
+            tree_cache_info,
+        )
+
+        tree_cache_clear()
+        compiled_tree("shifted", 2, (0, 2, 4, 6, 8), seed=9)
+        assert tree_cache_info()["misses"] == 1
+        # Same structure from another rank set, and from the volume
+        # model's entry point: both hit the entry the first call made.
+        compiled_tree("shifted", 11, (1, 3, 5, 7, 11), seed=9)
+        tree_arrays("shifted", 2, (0, 2, 4, 6, 8), seed=9)
+        info = tree_cache_info()
+        assert (info["hits"], info["misses"], info["size"]) == (2, 1, 1)
+
+
 class TestBinomialTree:
     def test_parent_clears_highest_bit(self):
         from repro.comm import binomial_tree
