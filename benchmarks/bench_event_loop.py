@@ -1,9 +1,9 @@
-"""Scheduler microbenchmark: calendar-queue batch engine vs binary heap.
+"""Scheduler microbenchmark: the calendar queue vs the binary heap.
 
 Pure schedule/drain churn through :class:`repro.simulate.Simulator`
-(heapq reference) and :class:`repro.simulate.BatchSimulator` (calendar
-queue + handler table), with no machine, network, or protocol on top --
-this isolates the event-loop cost the batch-dispatch PR targets.
+(heapq reference) and :class:`repro.simulate.VecSimulator` (calendar
+queue + handler table + slice-dispatch run scan), with no machine,
+network, or protocol on top -- this isolates the event-loop cost.
 
 Three traffic shapes bracket the design space:
 
@@ -21,13 +21,12 @@ Three traffic shapes bracket the design space:
 * ``collective`` -- handler-inclusive: overlapping binary-tree
   broadcast waves where every delivery runs a real forwarding handler
   (child-index arithmetic + two downstream schedules), the event mix of
-  the PSelInv collectives.  Run on all three engines -- heapq,
-  calendar-queue batch, and :class:`repro.simulate.VecSimulator` (the
-  vectorized engine's loop with its run-scan for batchable slices) --
-  with the vec run's per-bucket occupancy summary recorded so the
-  scheduler-vs-handler split is measured, not inferred.
+  the PSelInv collectives.  Run on both loops, with the calendar run's
+  per-bucket occupancy summary recorded so the scheduler-vs-handler
+  split is measured, not inferred.  No slice companion is registered
+  anywhere here, so the calendar loop's run scan is pure overhead.
 
-All engines consume an identical precomputed delta stream, so they
+Both loops consume an identical precomputed delta stream, so they
 execute the same virtual schedule; each run asserts the engines agree
 on the event count and final virtual time before timing is recorded.
 Results land in ``results/BENCH_throughput.json``.
@@ -40,7 +39,7 @@ from time import perf_counter
 from _harness import emit, record_throughput, run_once
 
 from repro.analysis import Table
-from repro.simulate import BatchSimulator, Simulator, VecSimulator
+from repro.simulate import Simulator, VecSimulator
 
 # Events per measured drain (small enough for the quick tier; the
 # per-event cost is flat in N well before this point).
@@ -87,9 +86,9 @@ def _run_legacy(shape: str) -> tuple[float, int, float]:
     return perf_counter() - t0, sim.events_processed, end
 
 
-def _run_batch(shape: str) -> tuple[float, int, float]:
+def _run_calendar(shape: str) -> tuple[float, int, float]:
     deltas = _delta_stream(shape, N_EVENTS + _shape_actors(shape))
-    sim = BatchSimulator()
+    sim = VecSimulator()
     it = iter(deltas)
     left = [N_EVENTS]
 
@@ -138,8 +137,8 @@ def _run_collective_legacy() -> tuple[float, int, float]:
     return perf_counter() - t0, sim.events_processed, end
 
 
-def _run_collective_bucketed(sim_cls) -> tuple[float, int, float, object]:
-    sim = sim_cls()
+def _run_collective_calendar() -> tuple[float, int, float, VecSimulator]:
+    sim = VecSimulator()
 
     def deliver(arg):
         wave, pos = arg
@@ -161,29 +160,24 @@ def _run_collective_bucketed(sim_cls) -> tuple[float, int, float, object]:
 
 def _collective_case() -> dict:
     """Best-of alternated rounds of the handler-inclusive broadcast mix."""
-    best = dict.fromkeys(("legacy", "batch", "vectorized"), float("inf"))
+    best_l = best_c = float("inf")
     occupancy = {}
     for _ in range(_PAIRS):
         dt_l, ev_l, end_l = _run_collective_legacy()
-        dt_b, ev_b, end_b, _sim = _run_collective_bucketed(BatchSimulator)
-        dt_v, ev_v, end_v, vsim = _run_collective_bucketed(VecSimulator)
-        assert ev_l == ev_b == ev_v == _WAVES * _TREE_RANKS, (ev_l, ev_b, ev_v)
-        assert end_l == end_b == end_v, (end_l, end_b, end_v)
-        best["legacy"] = min(best["legacy"], dt_l)
-        best["batch"] = min(best["batch"], dt_b)
-        best["vectorized"] = min(best["vectorized"], dt_v)
-        occupancy = vsim.occupancy_stats()
+        dt_c, ev_c, end_c, csim = _run_collective_calendar()
+        assert ev_l == ev_c == _WAVES * _TREE_RANKS, (ev_l, ev_c)
+        assert end_l == end_c, (end_l, end_c)
+        best_l = min(best_l, dt_l)
+        best_c = min(best_c, dt_c)
+        occupancy = csim.occupancy_stats()
     events = _WAVES * _TREE_RANKS
     return dict(
         events=events,
-        legacy_seconds=best["legacy"],
-        batch_seconds=best["batch"],
-        vectorized_seconds=best["vectorized"],
-        legacy_events_per_sec=round(events / best["legacy"]),
-        batch_events_per_sec=round(events / best["batch"]),
-        vectorized_events_per_sec=round(events / best["vectorized"]),
-        speedup=round(best["legacy"] / best["batch"], 3),
-        vectorized_speedup=round(best["legacy"] / best["vectorized"], 3),
+        legacy_seconds=best_l,
+        calendar_seconds=best_c,
+        legacy_events_per_sec=round(events / best_l),
+        calendar_events_per_sec=round(events / best_c),
+        speedup=round(best_l / best_c, 3),
         occupancy={
             k: round(v, 3) if isinstance(v, float) else v
             for k, v in occupancy.items()
@@ -195,21 +189,21 @@ def test_event_loop_throughput(benchmark):
     def compute():
         out = {}
         for shape in ("convergent", "sparse"):
-            best_l = best_b = float("inf")
+            best_l = best_c = float("inf")
             for _ in range(_PAIRS):
                 dt_l, ev_l, end_l = _run_legacy(shape)
-                dt_b, ev_b, end_b = _run_batch(shape)
+                dt_c, ev_c, end_c = _run_calendar(shape)
                 # Same schedule -> same count and same final clock.
-                assert ev_l == ev_b and end_l == end_b, (shape, ev_l, ev_b)
+                assert ev_l == ev_c and end_l == end_c, (shape, ev_l, ev_c)
                 best_l = min(best_l, dt_l)
-                best_b = min(best_b, dt_b)
+                best_c = min(best_c, dt_c)
             out[shape] = dict(
                 events=ev_l,
                 legacy_seconds=best_l,
-                batch_seconds=best_b,
+                calendar_seconds=best_c,
                 legacy_events_per_sec=round(ev_l / best_l),
-                batch_events_per_sec=round(ev_b / best_b),
-                speedup=round(best_l / best_b, 3),
+                calendar_events_per_sec=round(ev_c / best_c),
+                speedup=round(best_l / best_c, 3),
             )
         out["collective"] = _collective_case()
         return out
@@ -218,42 +212,34 @@ def test_event_loop_throughput(benchmark):
 
     table = Table(
         f"Event-loop churn (best of {_PAIRS} alternated rounds)",
-        ["shape", "events", "legacy ev/s", "batch ev/s", "vec ev/s",
-         "batch speedup"],
+        ["shape", "events", "legacy ev/s", "calendar ev/s", "speedup"],
     )
     for shape, r in results.items():
-        vec = r.get("vectorized_events_per_sec")
         table.add(
             shape,
             f"{r['events']:,}",
             f"{r['legacy_events_per_sec']:,}",
-            f"{r['batch_events_per_sec']:,}",
-            f"{vec:,}" if vec is not None else "-",
+            f"{r['calendar_events_per_sec']:,}",
             f"{r['speedup']:.2f}x",
         )
     conv = results["convergent"]
-    coll = results["collective"]
-    occ = coll["occupancy"]
+    occ = results["collective"]["occupancy"]
     note = record_throughput(
         "event_loop",
-        wall_seconds=conv["batch_seconds"],
+        wall_seconds=conv["calendar_seconds"],
         events=conv["events"],
         extra={f"{s}_{k}": v for s, r in results.items()
                for k, v in r.items() if k != "events"},
     )
     occupancy_line = (
-        "collective-shape bucket occupancy (vectorized engine): "
+        "collective-shape bucket occupancy (calendar queue): "
         f"{occ['buckets_drained']:,} buckets for {occ['events']:,} events, "
         f"mean {occ['mean_bucket_events']:.2f} events/bucket, "
         f"max {occ['max_bucket_events']}"
     )
     emit("event_loop", table.render() + "\n\n" + occupancy_line + "\n" + note)
 
-    # The batch engine must win decisively on the traffic shape it was
-    # built for; the sparse shape is informational (it is allowed to
-    # lose there -- that is the documented trade-off).
+    # The calendar queue must win decisively on the traffic shape it was
+    # built for, run scan included; the sparse shape is informational
+    # (it is allowed to lose there -- that is the documented trade-off).
     assert conv["speedup"] >= 1.3, conv
-    # The vectorized loop's run-scan must stay in the noise next to the
-    # plain batch loop when no slice handler fires (this shape registers
-    # none) -- it is pure overhead here, budgeted at 25%.
-    assert coll["vectorized_seconds"] <= coll["batch_seconds"] * 1.25, coll

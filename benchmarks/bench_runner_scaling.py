@@ -3,10 +3,10 @@
 Measurements recorded here:
 
 0. *Engine head-to-head* -- the reference run on the legacy binary-heap
-   engine vs the calendar-queue batch engine vs the vectorized engine
-   (compiled collective state machines + batched delivery), alternated
-   round-robin with best-of per engine, asserting bitwise-identical
-   outcomes and per-engine speedup floors.
+   engine vs the vectorized engine (calendar queue, compiled collective
+   state machines + batched delivery), alternated round-robin with
+   best-of per engine, asserting bitwise-identical outcomes and a
+   vectorized-over-legacy speedup floor.
 
 1. *Process-pool fan-out* -- the exact Fig. 8 quick sweep (imported from
    :mod:`bench_fig8_scaling`, so this measures the real workload, not a
@@ -208,7 +208,7 @@ def _timed_single_run(
     (and the Machine's pre-bound query methods) pick them up at
     construction.  The network/machine comparisons replicate legacy-path
     variants, so they pin ``engine="legacy"``; the engine head-to-head
-    passes ``engine="batch"`` explicitly."""
+    passes each engine explicitly."""
     import repro.core.pselinv as pselinv_mod
 
     side = scaling_processor_counts()[-1]
@@ -289,13 +289,13 @@ def test_runner_scaling(benchmark):
         )
 
     # Engine head-to-head: the same reference run on the legacy heapq
-    # engine, the calendar-queue batch engine, and the vectorized engine
-    # (compiled collective state machines + batched delivery).
-    # Alternated round-robin with best-of per engine: single-shot wall
-    # clock on shared hosts swings by 20%+, and in-process heap growth
-    # penalizes whichever run goes last, so no ordering is allowed to
-    # decide the comparison.
-    engines = ("legacy", "batch", "vectorized")
+    # engine and the vectorized engine (calendar queue, compiled
+    # collective state machines + batched delivery).  Alternated
+    # round-robin with best-of per engine: single-shot wall clock on
+    # shared hosts swings by 20%+, and in-process heap growth penalizes
+    # whichever run goes last, so no ordering is allowed to decide the
+    # comparison.
+    engines = ("legacy", "vectorized")
     best = {e: float("inf") for e in engines}
     eng_res = {}
     for _ in range(3):
@@ -308,14 +308,10 @@ def test_runner_scaling(benchmark):
         run=f"audikw_1 {_reference_side()}^2 ranks, shifted, jitter 0.2",
         events=ref.events,
         legacy_seconds=round(best["legacy"], 4),
-        batch_seconds=round(best["batch"], 4),
         vectorized_seconds=round(best["vectorized"], 4),
         legacy_events_per_sec=round(ref.events / best["legacy"]),
-        batch_events_per_sec=round(ref.events / best["batch"]),
         vectorized_events_per_sec=round(ref.events / best["vectorized"]),
-        speedup=round(best["legacy"] / best["batch"], 3),
-        vectorized_speedup=round(best["legacy"] / best["vectorized"], 3),
-        vectorized_vs_batch=round(best["batch"] / best["vectorized"], 3),
+        vectorized_vs_legacy=round(best["legacy"] / best["vectorized"], 3),
         outcome_bit_identical=bool(
             all(eng_res[e].events == ref.events for e in engines)
             and all(eng_res[e].makespan == ref.makespan for e in engines)
@@ -380,13 +376,10 @@ def test_runner_scaling(benchmark):
         "engine head-to-head (reference run, best of 3 alternated rounds):",
         f"  legacy (heapq):          {engine_cmp['legacy_events_per_sec']:,}/s"
         f" ({best['legacy']:.2f}s)",
-        f"  batch (calendar queue):  {engine_cmp['batch_events_per_sec']:,}/s"
-        f" ({best['batch']:.2f}s)  -> {engine_cmp['speedup']:.2f}x",
         "  vectorized (compiled):   "
         f"{engine_cmp['vectorized_events_per_sec']:,}/s"
         f" ({best['vectorized']:.2f}s)"
-        f"  -> {engine_cmp['vectorized_speedup']:.2f}x"
-        f" ({engine_cmp['vectorized_vs_batch']:.2f}x over batch)",
+        f"  -> {engine_cmp['vectorized_vs_legacy']:.2f}x",
         f"  outcome bit-identical:   {engine_cmp['outcome_bit_identical']}",
         "",
         "per-message hot path (single large run, DES events/sec):",
@@ -426,16 +419,14 @@ def test_runner_scaling(benchmark):
 
     # Bit-identity is unconditional; the speedup floor needs real cores.
     assert all(r["identical"] for r in rows)
-    # The batch engine must beat the heapq engine on its outcome-
-    # preserving reference run, and the vectorized engine must in turn
-    # beat batch.  Measured best-of ratios swing with host load
-    # (batch-vs-legacy 1.10-1.45x, vectorized-vs-batch 1.20-1.41x
-    # across recorded runs on this box); 1.05x floors catch a real
-    # regression -- an accidentally disabled fast path is a >1.2x hit --
+    # The vectorized engine must beat the heapq engine on its outcome-
+    # preserving reference run.  Recorded best-of ratios: 1.55x on a
+    # 1-core host, 1.72x on a 2-vCPU VM.  The 1.10x floor -- the product
+    # of the two chained 1.05x floors it replaces -- catches a real
+    # regression (an accidentally disabled fast path is a >1.2x hit)
     # without tripping on shared-host noise.
     assert engine_cmp["outcome_bit_identical"], engine_cmp
-    assert engine_cmp["speedup"] >= 1.05, engine_cmp
-    assert engine_cmp["vectorized_vs_batch"] >= 1.05, engine_cmp
+    assert engine_cmp["vectorized_vs_legacy"] >= 1.10, engine_cmp
     if cores >= 4:
         four = next(r for r in rows if r["jobs"] == 4)
         assert four["speedup"] >= 2.5, four

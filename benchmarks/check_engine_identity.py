@@ -1,13 +1,15 @@
 """Per-engine bit-identity smoke over the Fig. 8 quick sweep.
 
 Runs the exact Fig. 8 sweep specs once under each simulation engine
-(``legacy``, ``batch``, ``vectorized``) and asserts every
+(``legacy``, ``vectorized``) and asserts every
 :class:`~repro.runner.RunRecord` agrees bitwise with the legacy
 reference (:meth:`RunRecord.same_outcome`: makespan, event count,
 compute and communication split, and every per-rank byte/message/
-busy-time array).  This is the CI guard for the batch-dispatch and
-vectorized engines: the calendar-queue scheduler and the compiled
-collective state machines are optimizations, never behavior changes.
+busy-time array).  This is the CI guard for the vectorized engine: the
+calendar-queue scheduler and the compiled collective state machines
+are optimizations, never behavior changes.  The result store is turned
+off first: it does not hash the engine, so a stored record would answer
+for either engine and the comparison would prove nothing.
 
 Run from ``benchmarks/`` with ``PYTHONPATH=../src:.``:
 
@@ -28,9 +30,9 @@ from time import perf_counter
 
 from bench_fig8_scaling import sweep_specs
 
-from repro.runner import run_experiments
+from repro.runner import run_experiments, store
 
-ENGINES = ("legacy", "batch", "vectorized")
+ENGINES = ("legacy", "vectorized")
 REFERENCE = ENGINES[0]
 
 
@@ -55,6 +57,7 @@ def main(argv: list[str] | None = None) -> int:
         help="write a JSON summary of the comparison here",
     )
     args = ap.parse_args(argv)
+    store.configure(enabled=False)  # also governs the pool workers
 
     specs = sweep_specs()
     if args.limit is not None:

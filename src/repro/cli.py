@@ -447,9 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--engine",
             default=DEFAULT_ENGINE,
             choices=ENGINES,
-            help="DES engine: compiled vectorized dispatch (default), "
-            "calendar-queue batch dispatch, or the binary-heap reference; "
-            "outcomes are bit-identical",
+            help="DES engine: compiled vectorized dispatch (default) or "
+            "the binary-heap reference; outcomes are bit-identical",
         )
 
     def store_options(sp):

@@ -230,7 +230,8 @@ class TreeReduce:
 
 
 # ---------------------------------------------------------------------------
-# Array-based collectives (the batch engine's protocol layer)
+# Array-based collectives (the vectorized machine's generic protocol,
+# used by numeric and telemetry runs)
 #
 # Same state machines as above, but over the positional
 # :class:`~repro.comm.trees.TreeArrays` view: ranks are looked up by
@@ -241,14 +242,14 @@ class TreeReduce:
 # collective without any per-rank tag dispatch.  Send order, combine
 # order, and error behavior replicate the dict-based classes exactly
 # (children forward in ascending position = the dict builders' append
-# order), which is what keeps batch-engine runs bit-identical.
+# order), which is what keeps those runs bit-identical to legacy ones.
 # ---------------------------------------------------------------------------
 
 
 class ArrayBroadcast:
     """Restricted broadcast over a :class:`TreeArrays` shape.
 
-    The batch-engine counterpart of :class:`TreeBroadcast`: messages
+    The array counterpart of :class:`TreeBroadcast`: messages
     carry the child's tree position in ``aux`` and deliver through
     :meth:`on_message` directly, so forwarding is three list indexings
     and a fast-path send per child.
@@ -347,7 +348,7 @@ class ArrayBroadcast:
 class ArrayReduce:
     """Restricted reduction over a :class:`TreeArrays` shape.
 
-    The batch-engine counterpart of :class:`TreeReduce`: per-position
+    The array counterpart of :class:`TreeReduce`: per-position
     progress lives in flat lists, partials flow child -> parent with the
     parent's position in ``aux``, and only :meth:`contribute` pays for a
     rank -> position lookup (one small dict per collective).

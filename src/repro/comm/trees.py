@@ -367,7 +367,7 @@ _POSITION_SHAPES = {
 def _children_csr(family: str, p: int) -> tuple[list[int], list[int]]:
     """CSR adjacency (indptr, child positions) of one positional shape.
 
-    Plain Python lists: the batch collectives index them per forwarded
+    Plain Python lists: the array collectives index them per forwarded
     message.  Children appear in ascending position, matching the
     append order of the dict-based tree builders bit for bit.
     """
@@ -429,7 +429,7 @@ class TreeArrays:
     max_degree: int
     # Positional-shape family ("flat" / "binary" / "binomial"; the
     # shifted and randperm schemes reuse the binary shape).  Keys the
-    # shared children-CSR and depth memos, so the batch-engine
+    # shared children-CSR and depth memos, so the array
     # collectives never rebuild per-tree adjacency.
     family: str = "binary"
 
@@ -786,8 +786,8 @@ def _structure(
     """The cached structure for one collective shape (counted lookup).
 
     The one entry point into the shared cache: :func:`tree_arrays` (the
-    volume model and the batch/legacy engines) and :func:`compiled_tree`
-    (the vectorized engine) both resolve their trees here, so every
+    volume model and the generic protocol) and :func:`compiled_tree`
+    (the compiled protocol) both resolve their trees here, so every
     engine shares one set of entries and one set of hit/miss counters.
     """
     key = structure_tree_key(

@@ -1,6 +1,6 @@
 """Compiled collective state machines for the vectorized engine.
 
-The batch-engine collectives (:class:`~repro.comm.collectives.ArrayBroadcast`
+The generic array collectives (:class:`~repro.comm.collectives.ArrayBroadcast`
 / :class:`~repro.comm.collectives.ArrayReduce`) already route deliveries
 through direct callbacks, but they still pay for per-collective closures in
 the protocol layer, per-message metrics tests, dict-based contributor
@@ -31,7 +31,7 @@ against a :class:`~repro.comm.trees.CompiledTree`:
 Send order, finish order, and degenerate-tree behavior replicate the
 array classes exactly (children forward in ascending position; zero-input
 positions finish at construction in ascending position), which is what
-keeps vectorized runs bit-identical to the legacy and batch engines.
+keeps vectorized runs bit-identical to the legacy engine.
 Symbolic mode only: payloads are always ``None`` and no value bookkeeping
 exists (numeric runs fall back to the array collectives).
 """

@@ -37,7 +37,7 @@ Two modes share all protocol code:
   counts and the virtual clock matter.  This is the mode the large-scale
   strong-scaling experiments use.
 
-Three interchangeable execution engines (``engine=``, default
+Two interchangeable execution engines (``engine=``, default
 :data:`~repro.simulate.DEFAULT_ENGINE`):
 
 * ``"vectorized"`` (default) -- the :class:`~repro.simulate.vec.VecMachine` /
@@ -53,17 +53,14 @@ Three interchangeable execution engines (``engine=``, default
   compiled tables live only while it is inside the lookahead window:
   they are released when it retires, so the live heap is bounded by the
   window, not by the run.  Numeric or telemetry-instrumented runs
-  transparently fall back to the batch protocol on the same machine.
-* ``"batch"`` -- the calendar-queue
-  :class:`~repro.simulate.engine.BatchSimulator` +
-  :class:`~repro.simulate.machine.BatchMachine` stack with array-based
-  collectives (:class:`~repro.comm.collectives.ArrayBroadcast` /
-  :class:`~repro.comm.collectives.ArrayReduce`) routed over positional
+  transparently fall back to the generic protocol on the same machine:
+  array-based collectives (:class:`~repro.comm.collectives.ArrayBroadcast`
+  / :class:`~repro.comm.collectives.ArrayReduce`) routed over positional
   :class:`~repro.comm.trees.TreeArrays`.
 * ``"legacy"`` -- the original heapq :class:`Simulator` + per-message
-  :class:`Message` objects + dict-based collectives.
+  :class:`Message` objects + dict-based collectives: the oracle.
 
-All three produce bit-identical results -- same event count, same final
+Both produce bit-identical results -- same event count, same final
 timestamps, same per-rank stats -- which the engine-equivalence tests,
 ``benchmarks/check_engine_identity.py`` and
 ``benchmarks/bench_runner_scaling.py`` assert; the vectorized engine is
@@ -82,8 +79,8 @@ from scipy.linalg import solve_triangular
 from ..comm.collectives import ArrayBroadcast, ArrayReduce, TreeBroadcast, TreeReduce
 from ..comm.trees import build_tree, compiled_tree, tree_arrays, tree_cache_info
 from ..comm.vec_collectives import VecBroadcast, VecReduce
-from ..simulate import DEFAULT_ENGINE, ENGINES
-from ..simulate.machine import BatchMachine, CommStats, Machine, Message
+from ..simulate import DEFAULT_ENGINE, check_engine
+from ..simulate.machine import CommStats, Machine, Message
 from ..simulate.vec import VecMachine
 from ..simulate.network import Network, NetworkConfig
 from ..sparse.factor import SupernodalFactor
@@ -190,10 +187,7 @@ class SimulatedPSelInv:
         telemetry=None,
         engine: str = DEFAULT_ENGINE,
     ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
+        check_engine(engine)
         self.engine = engine
         self.struct = struct
         self.grid = grid
@@ -234,17 +228,6 @@ class SimulatedPSelInv:
         # static happens-before model.
         if engine == "vectorized":
             self.machine: Machine = VecMachine(
-                grid.size,
-                net,
-                event_log=event_log,
-                recorder=recorder,
-                metrics=metrics,
-                deliver_cpu_overhead=per_message_cpu_overhead,
-            )
-        elif engine == "batch":
-            # The batch machine charges the per-delivery CPU overhead
-            # itself (no wrapper handler on the hot path).
-            self.machine = BatchMachine(
                 grid.size,
                 net,
                 event_log=event_log,
@@ -298,7 +281,7 @@ class SimulatedPSelInv:
             )
         # The compiled (closure-free) protocol only handles the
         # symbolic, un-instrumented case; numeric or telemetry runs on
-        # the vectorized engine fall back to the batch protocol on the
+        # the vectorized engine fall back to the generic protocol on the
         # same machine (identical outcomes, fewer specializations).
         self._vec = (
             engine == "vectorized" and not self.numeric and telemetry is None
@@ -320,7 +303,7 @@ class SimulatedPSelInv:
 
     def _tree(self, spec) -> Any:
         """The spec's communication tree, in the engine's representation
-        (positional :class:`TreeArrays` for batch, dict
+        (positional :class:`TreeArrays` for the generic protocol, dict
         :class:`CommTree` for legacy), memoized per run/config."""
         key = spec.key
         tree = self._tree_cache.get(key)
@@ -426,12 +409,12 @@ class SimulatedPSelInv:
         return handler
 
     def _make_fast_handler(self, rank: int):
-        """Batch-engine rank handler for the point-to-point tags.
+        """Generic-protocol rank handler for the point-to-point tags.
 
         Collective messages never reach it (they carry their own
         delivery callback); only the cross-send/cross-back transfers
         fall through to the rank handler.  The per-message CPU overhead
-        is charged by the :class:`BatchMachine` itself.
+        is charged by the :class:`VecMachine` itself.
         """
 
         def handler(tag: Any, payload: Any, aux: int) -> None:
@@ -514,7 +497,7 @@ class SimulatedPSelInv:
     # numpy, handlers are pre-registered ids dispatching on tuple
     # arguments, collective traffic rides the machine's point route, and
     # Ainv readiness keys are flat ints (row * nsup + col).  Every
-    # simulator event maps one-to-one onto a batch-engine event, in the
+    # simulator event maps one-to-one onto a generic-protocol event, in the
     # same sequence order -- that is the whole bit-identity argument.
 
     def _init_vec_protocol(self) -> None:
@@ -609,7 +592,7 @@ class SimulatedPSelInv:
             colcount[c] = colcount.get(c, 0) + 1
         ucols = list(colcount)
         ucnts = list(colcount.values())
-        # Collectives go up in the batch engine's construction order
+        # Collectives go up in the generic protocol's construction order
         # (diag bcast, col bcasts, row reduces, col reduce): reduce
         # construction can emit degenerate-relay sends, so this order is
         # part of the bit-identity contract.

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..simulate import DEFAULT_ENGINE
+from ..simulate import DEFAULT_ENGINE, check_engine
 from ..simulate.network import NetworkConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -63,13 +63,17 @@ class ExperimentSpec:
     # snapshot back in ``RunRecord.metrics``.  Off by default; the
     # simulated outcome is bit-identical either way.
     telemetry: bool = False
-    # DES engine: "vectorized" (the default: compiled collective state
-    # machines and batched delivery), "batch" (calendar-queue
-    # scheduler, SoA message records), or "legacy" (binary-heap
-    # reference).  The simulated outcome is bit-identical across
-    # engines; this knob exists for head-to-head benchmarking and as an
-    # escape hatch / oracle.
+    # DES engine: "vectorized" (the default: calendar-queue scheduler,
+    # compiled collective state machines and batched delivery) or
+    # "legacy" (binary-heap reference).  The simulated outcome is
+    # bit-identical across engines, so the result store does not hash
+    # it; this knob exists for head-to-head benchmarking and as the
+    # oracle.
     engine: str = DEFAULT_ENGINE
+
+    def __post_init__(self) -> None:
+        # Fail here, in the caller, rather than inside a pool worker.
+        check_engine(self.engine)
 
     def describe(self) -> str:
         """One line naming the experiment (used in progress and errors)."""

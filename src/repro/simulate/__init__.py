@@ -6,8 +6,8 @@ inhomogeneity, MPI-like asynchronous point-to-point messaging, and
 per-rank communication-volume accounting.
 """
 
-from .engine import BatchSimulator, Simulator
-from .machine import BatchMachine, CommStats, Machine, Message, TraceEvent
+from .engine import Simulator
+from .machine import CommStats, Machine, Message, TraceEvent
 from .network import Network, NetworkConfig
 from .vec import VecCommStats, VecMachine, VecSimulator
 
@@ -16,13 +16,21 @@ from .vec import VecCommStats, VecMachine, VecSimulator
 #: caches and the CLI ``--engine`` option all read this one constant).
 DEFAULT_ENGINE = "vectorized"
 #: Every selectable engine; outcomes are bit-identical across them.
-ENGINES = (DEFAULT_ENGINE, "batch", "legacy")
+#: ``"legacy"`` (heapq :class:`Simulator` + :class:`Machine`) is the
+#: oracle the default is checked against.
+ENGINES = (DEFAULT_ENGINE, "legacy")
+
+
+def check_engine(engine: str) -> None:
+    """Raise ``ValueError`` unless ``engine`` is one of :data:`ENGINES`."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+
 
 __all__ = [
     "DEFAULT_ENGINE",
     "ENGINES",
-    "BatchMachine",
-    "BatchSimulator",
+    "check_engine",
     "CommStats",
     "Machine",
     "Message",

@@ -13,12 +13,11 @@ an argument avoids allocating a closure per event.
 
 Two engines share this contract:
 
-* :class:`Simulator` -- the reference heapq loop (``engine="legacy"``).
-* :class:`BatchSimulator` -- a calendar-queue scheduler that buckets
-  events by a fixed time width, stores per-event state in
-  struct-of-arrays columns indexed by sequence number, dispatches
-  through an integer handler table, and fast-forwards the clock over
-  empty buckets analytically (``engine="batch"``).
+* :class:`Simulator` -- the reference heapq loop (``engine="legacy"``),
+  kept small on purpose: it is the oracle.
+* :class:`~repro.simulate.vec.VecSimulator` -- the calendar-queue
+  scheduler of the default ``engine="vectorized"`` (struct-of-arrays
+  event columns, an integer handler table, slice dispatch).
 
 Both drain any schedule stream in the exact same ``(time, seq)`` order
 (pinned by a Hypothesis equivalence test), so every simulated outcome is
@@ -29,10 +28,9 @@ from __future__ import annotations
 
 import heapq
 import time
-from bisect import insort
 from typing import Any, Callable
 
-__all__ = ["Simulator", "BatchSimulator"]
+__all__ = ["Simulator"]
 
 # Sentinel distinguishing "no argument" from a legitimate None argument.
 _NO_ARG = object()
@@ -109,7 +107,7 @@ class Simulator:
         while queue:
             t = queue[0][0]
             # Horizon first: an event beyond ``until`` would never
-            # execute, so it must not trip the event budget (the batch
+            # execute, so it must not trip the event budget (the calendar
             # engine orders the checks this way; pinned by the bounded-
             # run equivalence property).
             if until is not None and t > until:
@@ -177,360 +175,3 @@ class Simulator:
     def pending(self) -> int:
         """Number of events still queued."""
         return len(self._queue)
-
-
-class BatchSimulator:
-    """Calendar-queue event loop, drop-in for :class:`Simulator`.
-
-    Layout (the batch-dispatch core):
-
-    * **Buckets** -- events are grouped by ``int(time / bucket_width)``
-      into a dict of bucket index -> list of sequence numbers; a
-      min-heap of occupied bucket indices orders the buckets.  Popping
-      the heap *is* the analytic fast-forward: the clock jumps straight
-      to the next occupied bucket instead of draining empty time.
-    * **Struct-of-arrays event records** -- per-event state lives in
-      three flat columns indexed by the sequence number:
-      ``_times[seq]``, ``_hids[seq]`` (an integer handler id) and
-      ``_args[seq]``.  Buckets hold bare seq ints; no per-event tuple
-      is allocated anywhere.
-    * **Handler table** -- :meth:`register_handler` interns a callable
-      once and returns its integer id; the hot path then schedules
-      ``(time, hid, arg)`` records via :meth:`schedule_msg` and the
-      drain loop dispatches ``table[hid](arg)``.  Ids 0 and 1 are
-      reserved for the generic :meth:`schedule` / :meth:`schedule_at`
-      paths (0 = argless callable, 1 = ``(fn, arg)`` pair).
-    * **Batch dispatch** -- a bucket is sorted once by timestamp
-      (stable C timsort keyed on the times column) and executed as a
-      batch; the events-processed and pending counters are written back
-      once per batch, not once per event.  Stability gives exact
-      ``(time, seq)`` order: a bucket list always holds any two
-      equal-time seqs in ascending-seq order (appends allocate
-      monotonically increasing seqs, and a re-parked prefix is already
-      ``(time, seq)``-sorted with seqs below every later append).  A
-      callback that schedules into the *active* bucket inserts in
-      sorted position via ``bisect.insort`` with the same key (the new
-      seq always lands after the in-flight index because its time is
-      >= ``now`` and it is the largest seq yet, and ``insort_right``
-      places it after existing equal-time entries).
-
-    Semantics are identical to :class:`Simulator`: FIFO tie-breaking by
-    seq, the same negative-delay / past-time errors, ``max_events``
-    checked before each event, and a bounded ``run(until=...)`` leaving
-    ``now`` at the last executed event (unexecuted tails are re-parked).
-
-    The machine layer (:class:`repro.simulate.machine.BatchMachine`)
-    inlines the push sequence below directly into its send/receive
-    stages -- any change to the scheduling invariants here must be
-    mirrored there.
-    """
-
-    #: Default bucket width in virtual seconds.  Event spacing in the
-    #: PSelInv runs is set by sub-microsecond NIC/latency constants, so
-    #: 100ns buckets keep batches small (tens of events) while still
-    #: amortizing the per-bucket heap pop and sort.
-    DEFAULT_BUCKET_WIDTH = 1.0e-7
-
-    def __init__(self, bucket_width: float | None = None) -> None:
-        self.now: float = 0.0
-        width = bucket_width if bucket_width else self.DEFAULT_BUCKET_WIDTH
-        if width <= 0:
-            raise ValueError(f"bucket width must be positive, got {width}")
-        self.bucket_width = width
-        self._inv_width = 1.0 / width
-        # Calendar: bucket index -> sorted-on-demand [seq, ...].
-        self._buckets: dict[int, list[int]] = {}
-        self._bucket_heap: list[int] = []
-        # SoA event columns, indexed by seq (monotonic, never recycled:
-        # recycling would break FIFO tie order).  Args are cleared after
-        # execution so payloads do not outlive their event.
-        self._times: list[float] = []
-        self._hids: list[int] = []
-        self._args: list[Any] = []
-        # Handler table; ids 0/1 are the generic-callable paths.
-        self._table: list[Callable[..., Any] | None] = [None, None]
-        self._seq = 0
-        self._events_processed = 0
-        self._npending = 0
-        # Active-bucket state: schedules landing in the bucket currently
-        # draining must join it in sorted position (see class docstring).
-        self._active_bucket = -1
-        self._active_list: list[int] | None = None
-        self._metrics = None
-
-    @property
-    def events_processed(self) -> int:
-        """Number of callbacks executed so far (for perf reporting).
-
-        Updated once per drained batch on the fast path (per event on
-        the instrumented path), so mid-batch reads from callbacks lag by
-        up to one bucket.
-        """
-        return self._events_processed
-
-    def attach_metrics(self, registry) -> None:
-        """Enable loop telemetry (same series as :class:`Simulator`)."""
-        self._metrics = registry
-
-    # -- handler table -------------------------------------------------------
-
-    def register_handler(self, fn: Callable[[Any], None]) -> int:
-        """Intern ``fn`` and return its integer handler id (>= 2).
-
-        The hot path pairs this with :meth:`schedule_msg`: the machine
-        registers its per-message stages once and schedules plain
-        ``(time, hid, record-index)`` triples, no closures or bound
-        methods per event.
-        """
-        self._table.append(fn)
-        return len(self._table) - 1
-
-    # -- scheduling ----------------------------------------------------------
-
-    def schedule(
-        self, delay: float, fn: Callable[..., Any], arg: Any = _NO_ARG
-    ) -> None:
-        """Run ``fn`` (optionally as ``fn(arg)``) at ``now + delay``."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        self.schedule_at(self.now + delay, fn, arg)
-
-    def schedule_at(
-        self, time: float, fn: Callable[..., Any], arg: Any = _NO_ARG
-    ) -> None:
-        """Run ``fn`` (optionally as ``fn(arg)``) at absolute ``time``."""
-        if time < self.now:
-            raise ValueError(
-                f"cannot schedule in the past (t={time} < now={self.now})"
-            )
-        if arg is _NO_ARG:
-            self._push(time, 0, fn)
-        else:
-            self._push(time, 1, (fn, arg))
-
-    def schedule_msg(self, time: float, hid: int, arg: Any) -> None:
-        """Hot-path schedule: dispatch ``table[hid](arg)`` at ``time``."""
-        if time < self.now:
-            raise ValueError(
-                f"cannot schedule in the past (t={time} < now={self.now})"
-            )
-        self._push(time, hid, arg)
-
-    def _push(self, time: float, hid: int, arg: Any) -> None:
-        s = self._seq
-        self._seq = s + 1
-        times = self._times
-        times.append(time)
-        self._hids.append(hid)
-        self._args.append(arg)
-        self._npending += 1
-        b = int(time * self._inv_width)
-        if b == self._active_bucket:
-            # Always lands after the in-flight index: time >= now and
-            # seq is the largest allocated, so insort_right on the
-            # times key places it last among equal-time entries.
-            insort(self._active_list, s, key=times.__getitem__)
-            return
-        try:
-            self._buckets[b].append(s)
-        except KeyError:
-            self._buckets[b] = [s]
-            heapq.heappush(self._bucket_heap, b)
-
-    # -- draining ------------------------------------------------------------
-
-    def _repark(self, b: int, batch: list, i: int, executed: int) -> None:
-        """Bounded-run exit: return ``batch[i:]`` to the calendar."""
-        tail = batch[i:]
-        if tail:
-            self._buckets[b] = tail
-            heapq.heappush(self._bucket_heap, b)
-        self._active_bucket = -1
-        self._active_list = None
-        self._events_processed += executed
-        self._npending -= executed
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> float:
-        """Drain the calendar; returns the final clock value.
-
-        Same bounded-run contract as :meth:`Simulator.run`: ``until``
-        leaves ``now`` at the last *executed* event (the fast-forward
-        never jumps past the horizon to an unexecuted bucket), and
-        ``max_events`` raises with the queue intact.
-        """
-        if self._metrics is not None:
-            return self._run_instrumented(until, max_events)
-        if until is not None or max_events is not None:
-            return self._run_bounded(until, max_events)
-        buckets = self._buckets
-        heap = self._bucket_heap
-        times = self._times
-        hids = self._hids
-        args = self._args
-        table = self._table
-        key = times.__getitem__
-        heappop = heapq.heappop
-        while heap:
-            b = heappop(heap)
-            batch = buckets.pop(b, None)
-            if batch is None:  # pragma: no cover - defensive
-                continue
-            if len(batch) > 1:
-                batch.sort(key=key)
-            self._active_bucket = b
-            self._active_list = batch
-            # A list iterator is index-based, and a mid-drain insort
-            # always lands strictly after the in-flight position (see
-            # class docstring), so inserted events are visited in order.
-            for s in batch:
-                self.now = times[s]
-                h = hids[s]
-                a = args[s]
-                args[s] = None
-                if h >= 2:
-                    table[h](a)
-                elif h == 0:
-                    a()
-                else:
-                    f, x = a
-                    f(x)
-            self._active_bucket = -1
-            self._active_list = None
-            n = len(batch)
-            self._events_processed += n
-            self._npending -= n
-        return self.now
-
-    def _run_bounded(
-        self, until: float | None, max_events: int | None
-    ) -> float:
-        """The :meth:`run` loop with a horizon and/or event budget.
-
-        A separate copy so the unbounded fast path carries no per-event
-        checks; this one re-parks the unexecuted tail on exit.
-        """
-        buckets = self._buckets
-        heap = self._bucket_heap
-        times = self._times
-        hids = self._hids
-        args = self._args
-        table = self._table
-        heappop = heapq.heappop
-        while heap:
-            b = heappop(heap)
-            batch = buckets.pop(b, None)
-            if batch is None:  # pragma: no cover - defensive
-                continue
-            if len(batch) > 1:
-                batch.sort(key=times.__getitem__)
-            self._active_bucket = b
-            self._active_list = batch
-            i = 0
-            done = self._events_processed
-            while i < len(batch):
-                s = batch[i]
-                t = times[s]
-                if until is not None and t > until:
-                    self._repark(b, batch, i, i)
-                    return self.now
-                if max_events is not None and done + i >= max_events:
-                    self._repark(b, batch, i, i)
-                    raise RuntimeError(
-                        f"simulation exceeded {max_events} events -- likely a "
-                        "protocol bug (deadlock would drain, livelock would not)"
-                    )
-                i += 1
-                self.now = t
-                h = hids[s]
-                a = args[s]
-                args[s] = None
-                if h >= 2:
-                    table[h](a)
-                elif h == 0:
-                    a()
-                else:
-                    f, x = a
-                    f(x)
-            self._active_bucket = -1
-            self._active_list = None
-            self._events_processed = done + i
-            self._npending -= i
-        return self.now
-
-    def _run_instrumented(
-        self, until: float | None, max_events: int | None
-    ) -> float:
-        """The :meth:`run` loop plus telemetry (metrics attached).
-
-        Counters update per event here (so the queue-depth high-water
-        mark is exact), mirroring :meth:`Simulator._run_instrumented`'s
-        series: ``sim.events``, ``sim.queue_depth_high_water``,
-        ``sim.wall_seconds``, ``sim.events_per_sec``.
-        """
-        metrics = self._metrics
-        buckets = self._buckets
-        heap = self._bucket_heap
-        times = self._times
-        hids = self._hids
-        args = self._args
-        table = self._table
-        heappop = heapq.heappop
-        depth_hw = self._npending
-        start_events = self._events_processed
-        start_wall = time.perf_counter()  # det: allow(DET003) observation-only
-        while heap:
-            b = heappop(heap)
-            batch = buckets.pop(b, None)
-            if batch is None:  # pragma: no cover - defensive
-                continue
-            if len(batch) > 1:
-                batch.sort(key=times.__getitem__)
-            self._active_bucket = b
-            self._active_list = batch
-            i = 0
-            while i < len(batch):
-                s = batch[i]
-                t = times[s]
-                if until is not None and t > until:
-                    self._repark(b, batch, i, 0)
-                    return self.now
-                if max_events is not None and self._events_processed >= max_events:
-                    self._repark(b, batch, i, 0)
-                    raise RuntimeError(
-                        f"simulation exceeded {max_events} events -- likely a "
-                        "protocol bug (deadlock would drain, livelock would not)"
-                    )
-                if self._npending > depth_hw:
-                    depth_hw = self._npending
-                i += 1
-                self.now = t
-                self._events_processed += 1
-                self._npending -= 1
-                h = hids[s]
-                a = args[s]
-                args[s] = None
-                if h >= 2:
-                    table[h](a)
-                elif h == 0:
-                    a()
-                else:
-                    f, x = a
-                    f(x)
-            self._active_bucket = -1
-            self._active_list = None
-        wall = time.perf_counter() - start_wall  # det: allow(DET003)
-        n = self._events_processed - start_events
-        metrics.counter("sim.events").inc(n)
-        metrics.gauge("sim.queue_depth_high_water").update_max(depth_hw)
-        metrics.gauge("sim.wall_seconds").set(wall)
-        if wall > 0.0:
-            metrics.gauge("sim.events_per_sec").set(n / wall)
-        return self.now
-
-    def pending(self) -> int:
-        """Number of events still queued.
-
-        Exact between :meth:`run` calls; mid-batch reads from callbacks
-        lag by up to one bucket on the fast path.
-        """
-        return self._npending

@@ -135,7 +135,7 @@ class Network:
             self._jitter_flat: list[float] | None = [0.0] * (nnodes * nnodes)
         else:
             self._jitter_flat = None
-        # Set by instrument(); the batch machine checks it to decide
+        # Set by instrument(); the vectorized machine checks it to decide
         # whether it may inline the arithmetic below (skipping the
         # method calls would skip the telemetry tallies).
         self._instrumented = False
@@ -219,7 +219,7 @@ class Network:
     def pair_params(self, src: int, dst: int) -> tuple[float, float, float]:
         """``(latency, 1/bandwidth, jitter)`` for one rank pair.
 
-        The batch machine memoizes this triple per pair and computes
+        The vectorized machine memoizes this triple per pair and computes
         ``transit = (latency + nbytes / bandwidth) * jitter`` inline.
         Bit-identical to :meth:`transit_time` for every case: intra-node
         and jitter-free pairs return a jitter of exactly 1.0, and an

@@ -4,9 +4,10 @@ and one default engine.
 A drain creates no reference cycles -- everything a retired supernode
 owned is freed by refcounting -- which is what lets ``Machine.run``
 pause the cyclic collector for the drain without leaking.  These tests
-pin both halves of that contract on every engine, the release of
-per-run buffers once a simulation is over, and the single default
-engine every entry point agrees on.
+pin both halves of that contract on every engine (and on the vectorized
+machine's generic protocol, which numeric and telemetry runs use), the
+release of per-run buffers once a simulation is over, and the single
+default engine every entry point agrees on.
 """
 
 import argparse
@@ -22,20 +23,36 @@ from repro.runner import ExperimentSpec, cache
 from repro.simulate import (
     DEFAULT_ENGINE,
     ENGINES,
-    BatchMachine,
     Machine,
     Network,
     VecMachine,
 )
-from repro.sparse import analyze
+from repro.sparse import analyze, factorize
 from repro.workloads import make_workload
 
 COMPILED_TABLES = ("rr_info", "norm_vec", "bcast_gemms", "gemms_left", "diag_left")
+
+# Each engine, plus "generic": the default engine serving a numeric run,
+# which takes the array-collective protocol instead of the compiled one.
+RUNS = (*ENGINES, "generic")
 
 
 @pytest.fixture(scope="module")
 def problem():
     return analyze(make_workload("audikw_1", "tiny"))
+
+
+def _simulation(problem, run, grid):
+    engine, factor = run, None
+    if run == "generic":
+        engine = DEFAULT_ENGINE
+        factor = factorize(problem.matrix, problem.struct)
+    sim = SimulatedPSelInv(
+        problem.struct, ProcessorGrid(*grid), "shifted", engine=engine,
+        factor=factor,
+    )
+    assert sim._vec == (run == DEFAULT_ENGINE)
+    return sim
 
 
 @contextmanager
@@ -52,14 +69,12 @@ def collector(enabled: bool):
 # -- window-bounded retirement ------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_run_leaves_no_cyclic_garbage(problem, engine):
+@pytest.mark.parametrize("run", RUNS)
+def test_run_leaves_no_cyclic_garbage(problem, run):
     """With the collector off, a whole run leaves nothing for it to find."""
     with collector(False):
         gc.collect()
-        sim = SimulatedPSelInv(
-            problem.struct, ProcessorGrid(8, 8), "shifted", engine=engine
-        )
+        sim = _simulation(problem, run, (8, 8))
         res = sim.run()
         unreachable = gc.collect()
     assert res.events > 0
@@ -113,7 +128,7 @@ def _machine(machine_cls, handler):
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("machine_cls", [Machine, BatchMachine, VecMachine])
+@pytest.mark.parametrize("machine_cls", [Machine, VecMachine])
 class TestMachineRunRestoresCollector:
     def test_unbounded_run(self, machine_cls, enabled):
         during = []
@@ -147,14 +162,12 @@ class TestMachineRunRestoresCollector:
 # -- per-run buffers --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_finished_run_closes_its_machine(problem, engine):
-    sim = SimulatedPSelInv(
-        problem.struct, ProcessorGrid(4, 4), "shifted", engine=engine
-    )
+@pytest.mark.parametrize("run", RUNS)
+def test_finished_run_closes_its_machine(problem, run):
+    sim = _simulation(problem, run, (4, 4))
     res = sim.run()
     assert res.stats.total_sent().sum() > 0
-    if engine != "legacy":
+    if run != "legacy":
         assert not sim.machine.sim._times  # per-event columns released
     with pytest.raises(RuntimeError, match="closed"):
         sim.machine.run()
@@ -165,7 +178,7 @@ def test_finished_run_closes_its_machine(problem, engine):
 
 def test_every_entry_point_defaults_to_one_engine(problem):
     assert DEFAULT_ENGINE == "vectorized"
-    assert DEFAULT_ENGINE in ENGINES
+    assert ENGINES == (DEFAULT_ENGINE, "legacy")
     assert (
         inspect.signature(SimulatedPSelInv).parameters["engine"].default
         == DEFAULT_ENGINE

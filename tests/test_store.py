@@ -3,8 +3,9 @@
 The store's contract (see ``docs/caching.md``) has three legs:
 
 1. **Spec-hash stability** -- the hash keys on exactly the fields that
-   influence execution: ``label`` is excluded, floats are exact, nested
-   ``NetworkConfig`` fields count, and telemetry specs are uncacheable.
+   influence execution: ``label`` and ``engine`` are excluded, floats
+   are exact, nested ``NetworkConfig`` fields count, and telemetry
+   specs are uncacheable.
 2. **Round-trip fidelity** -- a stored record replays bit-identically
    (``same_outcome``) with the caller's spec re-attached.
 3. **Corruption tolerance** -- truncated, bit-flipped, or garbage
@@ -58,6 +59,11 @@ class TestSpecHash:
         relabeled = dataclasses.replace(SPEC, label="fig8/run3")
         assert spec_hash(relabeled) == spec_hash(SPEC)
 
+    def test_engine_excluded(self):
+        # Engines are bit-identical, so the engine cannot key a record.
+        legacy = dataclasses.replace(SPEC, engine="legacy")
+        assert spec_hash(legacy) == spec_hash(SPEC)
+
     def test_every_execution_field_matters(self):
         variants = [
             dataclasses.replace(SPEC, scheme="flat"),
@@ -66,7 +72,6 @@ class TestSpecHash:
             dataclasses.replace(SPEC, jitter_seed=SPEC.jitter_seed + 1),
             dataclasses.replace(SPEC, placement_seed=5),
             dataclasses.replace(SPEC, lookahead=8),
-            dataclasses.replace(SPEC, engine="legacy"),
             dataclasses.replace(SPEC, per_message_cpu_overhead=1e-9),
             dataclasses.replace(
                 SPEC, network=NetworkConfig(jitter_sigma=0.2)
@@ -113,6 +118,16 @@ class TestRoundTrip:
         assert loaded is not None
         assert loaded.spec.label == "warm/17"
         assert loaded.same_outcome(record)
+
+    def test_legacy_record_serves_default_engine(self):
+        legacy = dataclasses.replace(SPEC, engine="legacy")
+        record = run_experiment(legacy)
+        RunStore().put(legacy, record)
+        loaded = RunStore().get(SPEC)
+        assert loaded is not None
+        assert loaded.spec.engine == SPEC.engine  # the caller's spec
+        assert loaded.same_outcome(record)
+        assert loaded.same_outcome(run_experiment(SPEC))
 
     def test_miss_on_absent_entry(self):
         assert RunStore().get(SPEC) is None

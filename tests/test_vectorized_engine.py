@@ -1,18 +1,19 @@
 """Vectorized engine: compiled collectives, slice dispatch, bit-identity.
 
-The vectorized engine's contract is the batch engine's, verbatim: it is
-an optimization, never a behavior change.  Three layers pin it:
+The vectorized engine's contract is the legacy engine's, verbatim: it
+is an optimization, never a behavior change.  Three layers pin it:
 
 * **Randomized end-to-end identity.**  Hypothesis draws simulation
   parameters (scheme -- all six tree families -- grid shape, seeds,
   jitter, lookahead), the real planner generates the supernode plans,
-  and the full run must agree bit-for-bit with the per-message batch
+  and the full run must agree bit-for-bit with the legacy heapq
   engine: makespan, event count, every stats table, and (separately)
   the send/deliver trace-event stream.
 * **Slice dispatch.**  The batched receive dispatchers are forced to
-  fire (a wide same-timestamp fan-in) and must reproduce the scalar
-  machines exactly; bounded runs (``until``/``max_events``) must never
-  enter a slice companion -- the scalar-fallback contract.
+  fire (a wide same-timestamp fan-in) and must reproduce the same
+  machine with its slice companions unregistered exactly; bounded runs
+  (``until``/``max_events``) must never enter a slice companion -- the
+  scalar-fallback contract.
 * **Column stats.**  :class:`VecCommStats` keeps numpy columns but the
   read-out views and totals match :class:`CommStats` exactly.
 """
@@ -24,7 +25,6 @@ from hypothesis import strategies as st
 
 from repro.core import ProcessorGrid, SimulatedPSelInv
 from repro.simulate import (
-    BatchMachine,
     CommStats,
     Network,
     NetworkConfig,
@@ -90,15 +90,15 @@ def _outcome(problem, engine, *, scheme, grid, seed, jitter_seed,
     jitter_sigma=st.sampled_from([0.0, 0.3, 1.5]),
     lookahead=st.sampled_from([2, 8, 32]),
 )
-def test_vectorized_matches_batch_random_plans(
+def test_vectorized_matches_legacy_random_plans(
     problem, scheme, grid, seed, jitter_seed, jitter_sigma, lookahead
 ):
     kwargs = dict(scheme=scheme, grid=grid, seed=seed,
                   jitter_seed=jitter_seed, jitter_sigma=jitter_sigma,
                   lookahead=lookahead)
-    batch = _outcome(problem, "batch", **kwargs)
+    legacy = _outcome(problem, "legacy", **kwargs)
     vec = _outcome(problem, "vectorized", **kwargs)
-    assert vec == batch
+    assert vec == legacy
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
@@ -113,25 +113,25 @@ def test_vectorized_matches_legacy(problem, scheme):
 def test_vectorized_trace_log_identical(problem):
     """The repro-check trace hook sees the same send/deliver stream
     (the trace path disables the fast closures but not the compiled
-    protocol -- both layers must agree with the batch engine)."""
+    protocol -- both layers must agree with the legacy engine)."""
     logs = {}
-    for engine in ("batch", "vectorized"):
+    for engine in ("legacy", "vectorized"):
         log: list = []
         _outcome(problem, engine, scheme="shifted", grid=(2, 2), seed=5,
                  jitter_seed=3, jitter_sigma=0.2, lookahead=32,
                  event_log=log)
         logs[engine] = log
-    assert logs["vectorized"] == logs["batch"]
-    assert logs["batch"]  # non-vacuous: the stream exists
+    assert logs["vectorized"] == logs["legacy"]
+    assert logs["legacy"]  # non-vacuous: the stream exists
 
 
 def test_vectorized_with_per_message_overhead(problem):
     """A per-delivery CPU tax disables the fast path; the generic
-    primitives must still match the batch engine exactly."""
+    primitives must still match the legacy engine exactly."""
     kwargs = dict(scheme="shifted", grid=(2, 2), seed=9, jitter_seed=1,
                   jitter_sigma=0.1, lookahead=32, overhead=2e-7)
     assert (_outcome(problem, "vectorized", **kwargs)
-            == _outcome(problem, "batch", **kwargs))
+            == _outcome(problem, "legacy", **kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +141,16 @@ def test_vectorized_with_per_message_overhead(problem):
 _N = 24  # fan-in width _N - 1 = 23 comfortably exceeds VecSimulator.MIN_RUN
 
 
-def _machine(cls):
-    return cls(_N, Network(_N, NetworkConfig(jitter_sigma=0.0)))
+def _machine(*, slices=True):
+    """A fast-path VecMachine; ``slices=False`` unregisters its slice
+    companions, leaving the scalar closures as the only receive path
+    (the reference the slice dispatchers must reproduce)."""
+    m = VecMachine(_N, Network(_N, NetworkConfig(jitter_sigma=0.0)))
+    btable = m.sim._btable
+    assert any(fn is not None for fn in btable)  # installed by default
+    if not slices:
+        btable[:] = [None] * len(btable)
+    return m
 
 
 def _count_slice_dispatches(machine):
@@ -191,15 +199,15 @@ def _drain_outcome(m, got):
 
 @pytest.mark.parametrize("use_point_route", [False, True])
 @pytest.mark.parametrize("categories", [("fan",), ("a", "b")])
-def test_slice_dispatch_fires_and_matches_batch(use_point_route, categories):
+def test_slice_dispatch_fires_and_matches_scalar(use_point_route, categories):
     """Both receive dispatchers (SoA route and point route), on both the
     single-category scatter and the mixed-category fallback, reproduce
-    the per-message batch machine bit-for-bit -- and provably fire."""
-    mb = _machine(BatchMachine)
+    the per-message scalar path bit-for-bit -- and provably fire."""
+    mb = _machine(slices=False)
     got_b = _fan_in(mb, use_point_route=False, categories=categories)
     mb.run()
 
-    mv = _machine(VecMachine)
+    mv = _machine()
     counts = _count_slice_dispatches(mv)
     got_v = _fan_in(mv, use_point_route=use_point_route,
                     categories=categories)
@@ -210,18 +218,18 @@ def test_slice_dispatch_fires_and_matches_batch(use_point_route, categories):
 
 
 def test_bounded_run_never_enters_slice_companion():
-    """``until``/``max_events`` runs use the inherited scalar loops --
-    a slice dispatch there could jump the horizon.  Poison every slice
+    """``until``/``max_events`` runs use the scalar loops -- a slice
+    dispatch there could jump the horizon.  Poison every slice
     companion; a fully bounded drain must never call one, and must
-    still match the batch machine's bounded drain exactly."""
-    mb = _machine(BatchMachine)
+    still match the scalar machine's bounded drain exactly."""
+    mb = _machine(slices=False)
     got_b = _fan_in(mb, use_point_route=False)
     horizons = (1e-6, 5e-6, 1.0)
     for h in horizons:
         mb.sim.run(until=h)
     assert mb.sim.pending() == 0
 
-    mv = _machine(VecMachine)
+    mv = _machine()
     for hid, fn in enumerate(mv.sim._btable):
         if fn is not None:
             def poisoned(batch, lo, hi):  # pragma: no cover
