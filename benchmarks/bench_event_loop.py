@@ -1,30 +1,24 @@
-"""Scheduler microbenchmark: the calendar queue vs the binary heap.
+"""Scheduler microbenchmark: the native kernel heap vs Python's heapq.
 
 Pure schedule/drain churn through :class:`repro.simulate.Simulator`
-(heapq reference) and :class:`repro.simulate.VecSimulator` (calendar
-queue + handler table + slice-dispatch run scan), with no machine,
-network, or protocol on top -- this isolates the event-loop cost.
+(heapq reference) and :class:`repro.simulate.VecSimulator` (the C
+kernel's binary heap + handler table), with no machine, network, or
+protocol on top -- this isolates the event-loop cost.  Both loops call
+a Python handler per event, so the measured gap is the scheduler's own
+bookkeeping: tuple allocation, heap sifts and dispatch.
 
 Three traffic shapes bracket the design space:
 
 * ``convergent`` -- hop times snap to a microsecond grid with thousands
   of events in flight, so many events collide on identical timestamps
-  and drain as batches.  This is the shape of collective traffic (the
-  audikw_1 reference run drains ~31 events per batch on average), and
-  where the calendar queue wins: one bucket pop replaces dozens of
-  heap sift-downs.
-* ``sparse`` -- sub-bucket hop deltas with only 64 events in flight:
-  single-event buckets, frequent in-bucket insorts, shallow heap.  The
-  worst case for batching, reported so the trade-off stays visible
-  (the heap's O(log 64) is tiny; the calendar pays its bucket
-  bookkeeping for nothing).
+  (exercising the ``seq`` tie-break) and the heap is deep.  This is the
+  shape of collective traffic, and the gated one.
+* ``sparse`` -- sub-microsecond hop deltas with only 64 events in
+  flight: a shallow heap, where the per-event sift cost is smallest.
 * ``collective`` -- handler-inclusive: overlapping binary-tree
   broadcast waves where every delivery runs a real forwarding handler
   (child-index arithmetic + two downstream schedules), the event mix of
-  the PSelInv collectives.  Run on both loops, with the calendar run's
-  per-bucket occupancy summary recorded so the scheduler-vs-handler
-  split is measured, not inferred.  No slice companion is registered
-  anywhere here, so the calendar loop's run scan is pure overhead.
+  the PSelInv collectives.
 
 Both loops consume an identical precomputed delta stream, so they
 execute the same virtual schedule; each run asserts the engines agree
@@ -58,8 +52,7 @@ def _delta_stream(shape: str, n: int) -> list[float]:
             # collision across the in-flight population.
             deltas.append((1 + x % 8) * 1e-6)
         else:
-            # 0-1 us continuous: almost never collides, often lands in
-            # the bucket currently draining.
+            # 0-1 us continuous: almost never collides.
             deltas.append((x % 1000) * 1e-9)
     return deltas
 
@@ -86,7 +79,7 @@ def _run_legacy(shape: str) -> tuple[float, int, float]:
     return perf_counter() - t0, sim.events_processed, end
 
 
-def _run_calendar(shape: str) -> tuple[float, int, float]:
+def _run_kernel(shape: str) -> tuple[float, int, float]:
     deltas = _delta_stream(shape, N_EVENTS + _shape_actors(shape))
     sim = VecSimulator()
     it = iter(deltas)
@@ -137,7 +130,7 @@ def _run_collective_legacy() -> tuple[float, int, float]:
     return perf_counter() - t0, sim.events_processed, end
 
 
-def _run_collective_calendar() -> tuple[float, int, float, VecSimulator]:
+def _run_collective_kernel() -> tuple[float, int, float]:
     sim = VecSimulator()
 
     def deliver(arg):
@@ -155,33 +148,27 @@ def _run_collective_calendar() -> tuple[float, int, float, VecSimulator]:
         sim.schedule_msg(wave * 64e-6 + _hop_delta(wave, 0), hid, (wave, 0))
     t0 = perf_counter()
     end = sim.run()
-    return perf_counter() - t0, sim.events_processed, end, sim
+    return perf_counter() - t0, sim.events_processed, end
 
 
 def _collective_case() -> dict:
     """Best-of alternated rounds of the handler-inclusive broadcast mix."""
     best_l = best_c = float("inf")
-    occupancy = {}
     for _ in range(_PAIRS):
         dt_l, ev_l, end_l = _run_collective_legacy()
-        dt_c, ev_c, end_c, csim = _run_collective_calendar()
+        dt_c, ev_c, end_c = _run_collective_kernel()
         assert ev_l == ev_c == _WAVES * _TREE_RANKS, (ev_l, ev_c)
         assert end_l == end_c, (end_l, end_c)
         best_l = min(best_l, dt_l)
         best_c = min(best_c, dt_c)
-        occupancy = csim.occupancy_stats()
     events = _WAVES * _TREE_RANKS
     return dict(
         events=events,
         legacy_seconds=best_l,
-        calendar_seconds=best_c,
+        kernel_seconds=best_c,
         legacy_events_per_sec=round(events / best_l),
-        calendar_events_per_sec=round(events / best_c),
+        kernel_events_per_sec=round(events / best_c),
         speedup=round(best_l / best_c, 3),
-        occupancy={
-            k: round(v, 3) if isinstance(v, float) else v
-            for k, v in occupancy.items()
-        },
     )
 
 
@@ -192,7 +179,7 @@ def test_event_loop_throughput(benchmark):
             best_l = best_c = float("inf")
             for _ in range(_PAIRS):
                 dt_l, ev_l, end_l = _run_legacy(shape)
-                dt_c, ev_c, end_c = _run_calendar(shape)
+                dt_c, ev_c, end_c = _run_kernel(shape)
                 # Same schedule -> same count and same final clock.
                 assert ev_l == ev_c and end_l == end_c, (shape, ev_l, ev_c)
                 best_l = min(best_l, dt_l)
@@ -200,9 +187,9 @@ def test_event_loop_throughput(benchmark):
             out[shape] = dict(
                 events=ev_l,
                 legacy_seconds=best_l,
-                calendar_seconds=best_c,
+                kernel_seconds=best_c,
                 legacy_events_per_sec=round(ev_l / best_l),
-                calendar_events_per_sec=round(ev_c / best_c),
+                kernel_events_per_sec=round(ev_c / best_c),
                 speedup=round(best_l / best_c, 3),
             )
         out["collective"] = _collective_case()
@@ -212,34 +199,26 @@ def test_event_loop_throughput(benchmark):
 
     table = Table(
         f"Event-loop churn (best of {_PAIRS} alternated rounds)",
-        ["shape", "events", "legacy ev/s", "calendar ev/s", "speedup"],
+        ["shape", "events", "heapq ev/s", "kernel ev/s", "speedup"],
     )
     for shape, r in results.items():
         table.add(
             shape,
             f"{r['events']:,}",
             f"{r['legacy_events_per_sec']:,}",
-            f"{r['calendar_events_per_sec']:,}",
+            f"{r['kernel_events_per_sec']:,}",
             f"{r['speedup']:.2f}x",
         )
     conv = results["convergent"]
-    occ = results["collective"]["occupancy"]
     note = record_throughput(
         "event_loop",
-        wall_seconds=conv["calendar_seconds"],
+        wall_seconds=conv["kernel_seconds"],
         events=conv["events"],
         extra={f"{s}_{k}": v for s, r in results.items()
                for k, v in r.items() if k != "events"},
     )
-    occupancy_line = (
-        "collective-shape bucket occupancy (calendar queue): "
-        f"{occ['buckets_drained']:,} buckets for {occ['events']:,} events, "
-        f"mean {occ['mean_bucket_events']:.2f} events/bucket, "
-        f"max {occ['max_bucket_events']}"
-    )
-    emit("event_loop", table.render() + "\n\n" + occupancy_line + "\n" + note)
+    emit("event_loop", table.render() + "\n\n" + note)
 
-    # The calendar queue must win decisively on the traffic shape it was
-    # built for, run scan included; the sparse shape is informational
-    # (it is allowed to lose there -- that is the documented trade-off).
+    # The kernel must win decisively on collective-shaped traffic; the
+    # other shapes are informational.
     assert conv["speedup"] >= 1.3, conv

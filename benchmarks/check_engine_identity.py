@@ -6,8 +6,8 @@ Runs the exact Fig. 8 sweep specs once under each simulation engine
 reference (:meth:`RunRecord.same_outcome`: makespan, event count,
 compute and communication split, and every per-rank byte/message/
 busy-time array).  This is the CI guard for the vectorized engine: the
-calendar-queue scheduler and the compiled collective state machines
-are optimizations, never behavior changes.  The result store is turned
+native kernel and the compiled collective state machines are
+optimizations, never behavior changes.  The result store is turned
 off first: it does not hash the engine, so a stored record would answer
 for either engine and the comparison would prove nothing.
 

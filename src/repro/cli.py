@@ -447,8 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--engine",
             default=DEFAULT_ENGINE,
             choices=ENGINES,
-            help="DES engine: compiled vectorized dispatch (default) or "
-            "the binary-heap reference; outcomes are bit-identical",
+            help="DES engine: vectorized (native kernel; the default "
+            "when it builds) or legacy (the pure-Python oracle); outcomes "
+            "are bit-identical",
         )
 
     def store_options(sp):

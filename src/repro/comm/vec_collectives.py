@@ -4,7 +4,7 @@ The generic array collectives (:class:`~repro.comm.collectives.ArrayBroadcast`
 / :class:`~repro.comm.collectives.ArrayReduce`) already route deliveries
 through direct callbacks, but they still pay for per-collective closures in
 the protocol layer, per-message metrics tests, dict-based contributor
-lookups, and full SoA message records for payload-less symbolic traffic.
+lookups, and full message records for payload-less symbolic traffic.
 
 The classes here are their ``engine="vectorized"`` counterparts, compiled
 against a :class:`~repro.comm.trees.CompiledTree`:
@@ -13,16 +13,15 @@ against a :class:`~repro.comm.trees.CompiledTree`:
   structure cache and per-shape memos (shared across every tree of the
   same family and size);
 * forwarded messages travel on the machine's *point* route
-  (:meth:`VecMachine.send_pt`) -- a 5-tuple record instead of an 8-column
-  SoA slot, since symbolic collective traffic never carries a payload;
+  (:meth:`VecMachine.send_pt`), whose receive stage runs in the native
+  kernel, since symbolic collective traffic never carries a payload;
 * completion callbacks receive a caller-supplied ``ctx`` object, so the
   protocol layer binds no lambdas per collective;
 * reductions are driven by contributor *positions* precomputed by the
   protocol (:meth:`VecReduce.contribute_pos`), eliminating the per-call
   rank -> position dict lookup;
-* wide fan-outs (flat/hybrid trees) are emitted as one column batch via
-  :meth:`VecMachine.send_batch`, which vectorizes the per-pair network
-  arithmetic;
+* wide fan-outs (flat/hybrid trees) are emitted in one call via
+  :meth:`VecMachine.send_batch`, which loops over the children in C;
 * no collective stores a bound method of itself (its delivery callback
   is looked up per forward instead), so a collective forms no reference
   cycle and is freed by refcounting as soon as its supernode retires
@@ -44,9 +43,9 @@ from .trees import CompiledTree
 
 __all__ = ["VecBroadcast", "VecReduce", "BATCH_FANOUT_MIN"]
 
-#: Fan-outs at or above this go through the machine's column-batch send
-#: (numpy injection chain + per-pair gather); below it, the scalar
-#: per-child send is cheaper than the array round trip.
+#: Fan-outs at or above this go through the machine's batch send (one
+#: call for the whole fan-out); below it, the per-child send is cheaper
+#: than building the destination lists.
 BATCH_FANOUT_MIN = 6
 
 

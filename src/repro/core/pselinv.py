@@ -41,8 +41,9 @@ Two interchangeable execution engines (``engine=``, default
 :data:`~repro.simulate.DEFAULT_ENGINE`):
 
 * ``"vectorized"`` (default) -- the :class:`~repro.simulate.vec.VecMachine` /
-  :class:`~repro.simulate.vec.VecSimulator` stack plus a *compiled*
-  protocol layer: on window entry every per-event quantity of a
+  :class:`~repro.simulate.vec.VecSimulator` stack on the native C kernel
+  (event queue, resource clocks and the point-to-point route) plus a
+  *compiled* protocol layer: on window entry every per-event quantity of a
   supernode (GEMM/normalize/diag durations, send destinations, tags,
   readiness keys) is precomputed in bulk with numpy, collectives run as
   :class:`~repro.comm.vec_collectives.VecBroadcast` /

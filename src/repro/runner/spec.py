@@ -63,9 +63,9 @@ class ExperimentSpec:
     # snapshot back in ``RunRecord.metrics``.  Off by default; the
     # simulated outcome is bit-identical either way.
     telemetry: bool = False
-    # DES engine: "vectorized" (the default: calendar-queue scheduler,
-    # compiled collective state machines and batched delivery) or
-    # "legacy" (binary-heap reference).  The simulated outcome is
+    # DES engine: "vectorized" (the default: native C kernel and
+    # compiled collective state machines) or "legacy" (the pure-Python
+    # heapq reference).  The simulated outcome is
     # bit-identical across engines, so the result store does not hash
     # it; this knob exists for head-to-head benchmarking and as the
     # oracle.

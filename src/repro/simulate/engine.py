@@ -15,9 +15,9 @@ Two engines share this contract:
 
 * :class:`Simulator` -- the reference heapq loop (``engine="legacy"``),
   kept small on purpose: it is the oracle.
-* :class:`~repro.simulate.vec.VecSimulator` -- the calendar-queue
-  scheduler of the default ``engine="vectorized"`` (struct-of-arrays
-  event columns, an integer handler table, slice dispatch).
+* :class:`~repro.simulate.vec.VecSimulator` -- the native C kernel's
+  binary heap of the default ``engine="vectorized"`` (an integer
+  handler table, the machine's point route in C).
 
 Both drain any schedule stream in the exact same ``(time, seq)`` order
 (pinned by a Hypothesis equivalence test), so every simulated outcome is
@@ -107,8 +107,8 @@ class Simulator:
         while queue:
             t = queue[0][0]
             # Horizon first: an event beyond ``until`` would never
-            # execute, so it must not trip the event budget (the calendar
-            # engine orders the checks this way; pinned by the bounded-
+            # execute, so it must not trip the event budget (the native
+            # kernel orders the checks this way; pinned by the bounded-
             # run equivalence property).
             if until is not None and t > until:
                 break

@@ -209,6 +209,20 @@ class Machine:
         # Optional MetricsRegistry, exposed so the protocol layers
         # (collectives) can cache instruments at construction.
         self.metrics = metrics
+        self._init_resources(nranks)
+        self._recv_overhead = network.config.receive_overhead
+        # Pre-bound network queries: post_send/_receive run once per
+        # message, and the two attribute hops per call add up.
+        self._injection_time = network.injection_time
+        self._transit_time = network.transit_time
+        self._ejection_time = network.ejection_time
+        # Message handler per rank: fn(msg) -> None.
+        self._handlers: list[Callable[[Message], None] | None] = [None] * nranks
+        self._closed = False
+
+    def _init_resources(self, nranks: int) -> None:
+        """Allocate the resource clocks (overridden by the vectorized
+        machine, whose clocks live in its kernel)."""
         # Resource availability clocks (plain lists -- hot path).
         self._nic_free = [0.0] * nranks  # outgoing (injection) port
         self._nic_in_free = [0.0] * nranks  # incoming (ejection) port
@@ -219,15 +233,6 @@ class Machine:
             self._channel_last: Any = [0.0] * (nranks * nranks)
         else:
             self._channel_last = {}
-        self._recv_overhead = network.config.receive_overhead
-        # Pre-bound network queries: post_send/_receive run once per
-        # message, and the two attribute hops per call add up.
-        self._injection_time = network.injection_time
-        self._transit_time = network.transit_time
-        self._ejection_time = network.ejection_time
-        # Message handler per rank: fn(msg) -> None.
-        self._handlers: list[Callable[[Message], None] | None] = [None] * nranks
-        self._closed = False
 
     # -- wiring --------------------------------------------------------------
 
@@ -394,8 +399,8 @@ class Machine:
         handler table points back at the machine and the protocol), so
         it is only reclaimed by a full collection -- which the paused
         drains make rare.  Emptying the O(nranks^2) channel clocks (and,
-        on the vectorized machine, the pair memo and the scheduler's
-        per-event columns) here keeps a dead run small until then.
+        on the vectorized machine, the kernel's pair map and pending
+        events) here keeps a dead run small until then.
         Stats, counters and the clock stay readable; a closed machine
         refuses to run again.
         """

@@ -1,12 +1,12 @@
-"""Calendar-queue DES core: scheduler order, SoA machine, engine parity.
+"""Native DES kernel: scheduler order, kernel machine, engine parity.
 
 Three layers of guarantees, mirroring the engine's design contract:
 
-* The calendar-queue :class:`VecSimulator` executes ANY mix of
+* The kernel's :class:`VecSimulator` executes ANY mix of
   ``schedule``/``schedule_at``/``schedule_msg`` calls in exactly the
-  (time, seq) order of the binary-heap :class:`Simulator` -- pinned by
-  a Hypothesis property over random schedules, including mid-run
-  scheduling into the bucket currently draining.
+  (time, seq) order of the heapq :class:`Simulator` -- pinned by a
+  Hypothesis property over random schedules, including mid-run
+  scheduling at and near the time currently executing.
 * The bounded-run contract (``until`` leaves ``now`` at the last
   executed event; ``max_events`` raises with the queue intact) holds
   identically on both schedulers.
@@ -38,11 +38,11 @@ from repro.workloads import dg_hamiltonian
 
 
 # ---------------------------------------------------------------------------
-# Calendar queue vs heapq: exact execution-order equivalence
+# Kernel heap vs heapq: exact execution-order equivalence
 # ---------------------------------------------------------------------------
 
-# Times spanning sub-bucket spacing, exact ties, and multi-bucket jumps
-# (bucket width is 1e-7): the regimes where calendar ordering can break.
+# Times spanning sub-100ns spacing, exact ties, and larger jumps: the
+# regimes where a scheduler's tie-breaking or ordering can break.
 _time_st = st.one_of(
     st.sampled_from([0.0, 1e-9, 5e-8, 1e-7, 1.0000001e-7, 2e-7, 1e-6, 3.7e-6]),
     st.floats(min_value=0.0, max_value=1e-5, allow_nan=False),
@@ -50,7 +50,7 @@ _time_st = st.one_of(
 
 # A schedule program: initial events, each optionally chaining one
 # follow-up event at now + delta when it executes (exercises mid-drain
-# scheduling, including into the active bucket).
+# scheduling, including at the current time).
 _program_st = st.lists(
     st.tuples(_time_st, st.one_of(st.none(), _time_st)),
     min_size=0,
@@ -89,16 +89,16 @@ def _execute(sim, program, use_msg_api: bool):
 @given(program=_program_st)
 def test_calendar_queue_matches_heapq_order(program):
     legacy = _execute(Simulator(), program, use_msg_api=False)
-    calendar = _execute(VecSimulator(), program, use_msg_api=False)
-    assert calendar == legacy
+    native = _execute(VecSimulator(), program, use_msg_api=False)
+    assert native == legacy
 
 
 @settings(max_examples=100, deadline=None)
 @given(program=_program_st)
 def test_schedule_msg_matches_heapq_order(program):
     legacy = _execute(Simulator(), program, use_msg_api=False)
-    calendar = _execute(VecSimulator(), program, use_msg_api=True)
-    assert calendar == legacy
+    native = _execute(VecSimulator(), program, use_msg_api=True)
+    assert native == legacy
 
 
 @settings(max_examples=100, deadline=None)
@@ -137,21 +137,21 @@ class TestCalendarSimulatorUnit:
         assert log == [0, 1, 2, 3, 4]
 
     def test_same_bucket_different_times_sorted(self):
-        # Distinct timestamps inside one bucket must still execute in
-        # time order, not append order.
+        # Distinct timestamps 80 ns apart must execute in time order,
+        # not schedule order.
         sim = VecSimulator()
-        w = sim.bucket_width
+        w = 1e-7
         log = []
         sim.schedule_at(0.9 * w, lambda: log.append("late"))
         sim.schedule_at(0.1 * w, lambda: log.append("early"))
         sim.run()
         assert log == ["early", "late"]
 
-    def test_mid_drain_insert_into_active_bucket(self):
-        # An event scheduled while its own bucket drains must run within
-        # the same drain, in time order.
+    def test_mid_drain_insert_runs_in_time_order(self):
+        # An event scheduled mid-drain, earlier than one already queued,
+        # must run before it.
         sim = VecSimulator()
-        w = sim.bucket_width
+        w = 1e-7
         log = []
 
         def first():

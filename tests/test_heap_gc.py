@@ -4,15 +4,17 @@ and one default engine.
 A drain creates no reference cycles -- everything a retired supernode
 owned is freed by refcounting -- which is what lets ``Machine.run``
 pause the cyclic collector for the drain without leaking.  These tests
-pin both halves of that contract on every engine (and on the vectorized
-machine's generic protocol, which numeric and telemetry runs use), the
-release of per-run buffers once a simulation is over, and the single
+pin both halves of that contract on every engine (and on numeric runs,
+which take the generic protocol), the release of per-run buffers once a
+simulation is over -- a closed machine's kernel holds no pending event
+arguments, and the kernel is visible to the collector -- and the single
 default engine every entry point agrees on.
 """
 
 import argparse
 import gc
 import inspect
+import weakref
 from contextlib import contextmanager
 
 import pytest
@@ -33,8 +35,9 @@ from repro.workloads import make_workload
 COMPILED_TABLES = ("rr_info", "norm_vec", "bcast_gemms", "gemms_left", "diag_left")
 
 # Each engine, plus "generic": the default engine serving a numeric run,
-# which takes the array-collective protocol instead of the compiled one.
-RUNS = (*ENGINES, "generic")
+# which takes the array-collective protocol instead of the compiled one,
+# and "legacy-numeric": the legacy engine serving a numeric run.
+RUNS = (*ENGINES, "generic", "legacy-numeric")
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +47,8 @@ def problem():
 
 def _simulation(problem, run, grid):
     engine, factor = run, None
-    if run == "generic":
-        engine = DEFAULT_ENGINE
+    if run in ("generic", "legacy-numeric"):
+        engine = DEFAULT_ENGINE if run == "generic" else "legacy"
         factor = factorize(problem.matrix, problem.struct)
     sim = SimulatedPSelInv(
         problem.struct, ProcessorGrid(*grid), "shifted", engine=engine,
@@ -108,11 +111,11 @@ def test_late_colbcast_delivery_finds_an_empty_table(problem):
     sim.run()
     st = next(st for st in sim.states if st.plan.col_bcasts)
     i = st.plan.col_bcasts[0].key[2]
-    scheduled = sim.machine.sim._seq
+    assert sim.machine.sim.pending() == 0
     for rank in range(sim.grid.size):
         sim._on_colbcast_delivery_vec((st, [], i), rank, None)
     assert not sim._vwaiters
-    assert sim.machine.sim._seq == scheduled  # no GEMM was posted
+    assert sim.machine.sim.pending() == 0  # no GEMM was posted
 
 
 # -- the paused collector -------------------------------------------------------
@@ -167,10 +170,44 @@ def test_finished_run_closes_its_machine(problem, run):
     sim = _simulation(problem, run, (4, 4))
     res = sim.run()
     assert res.stats.total_sent().sum() > 0
-    if run != "legacy":
-        assert not sim.machine.sim._times  # per-event columns released
+    assert sim.machine.sim.pending() == 0
     with pytest.raises(RuntimeError, match="closed"):
         sim.machine.run()
+
+
+class _Arg:
+    """A weakly referenceable handler argument."""
+
+
+def test_closed_machine_drops_pending_event_args():
+    """``close()`` empties the kernel's heap: the arguments of events
+    that never ran are released, not kept alive by the finished run."""
+    m = VecMachine(4, Network(4))
+    hid = m.sim.register_handler(lambda arg: None)
+    arg, fn_arg = _Arg(), _Arg()
+    m.post_named(1, 1e-6, hid, arg)
+    m.sim.schedule(2e-6, lambda a: None, fn_arg)
+    m.send_pt(0, 2, "t", 64, m.category_id("x"), lambda *a: None, 0)
+    refs = [weakref.ref(arg), weakref.ref(fn_arg)]
+    del arg, fn_arg
+    assert m.sim.pending() == 3
+    assert all(r() is not None for r in refs)  # held by the pending events
+    m.close()
+    assert m.sim.pending() == 0
+    assert all(r() is None for r in refs)
+
+
+def test_kernel_is_gc_tracked():
+    """The kernel's handler table points back at the machine, so the
+    pair is a cycle the collector must be able to see and break."""
+    m = VecMachine(4, Network(4))
+    assert gc.is_tracked(m.sim)
+    ref = weakref.ref(m)
+    with collector(False):
+        del m
+        assert ref() is not None  # a cycle: refcounting cannot free it
+        gc.collect()
+    assert ref() is None
 
 
 # -- one default engine ----------------------------------------------------------
