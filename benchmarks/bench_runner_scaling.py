@@ -239,13 +239,13 @@ def test_runner_scaling(benchmark):
     # Bit-identity is unconditional; the speedup floor needs real cores.
     assert all(r["identical"] for r in rows)
     # The vectorized engine must beat the heapq engine on its outcome-
-    # preserving reference run.  Recorded best-of ratios: 1.55x on a
-    # 1-core host, 1.72x on a 2-vCPU VM.  The 1.10x floor -- the product
-    # of the two chained 1.05x floors it replaces -- catches a real
-    # regression (an accidentally disabled fast path is a >1.2x hit)
-    # without tripping on shared-host noise.
+    # preserving reference run.  With the symbolic protocol inside the
+    # native kernel the recorded ratio is ~10x on a 2-vCPU VM; with the
+    # protocol in Python callbacks it was 4.18x.  The 2.0x floor catches
+    # a silent fall-back to the Python protocol without tripping on
+    # shared-host noise.
     assert engine_cmp["outcome_bit_identical"], engine_cmp
-    assert engine_cmp["vectorized_vs_legacy"] >= 1.10, engine_cmp
+    assert engine_cmp["vectorized_vs_legacy"] >= 2.0, engine_cmp
     if cores >= 4:
         four = next(r for r in rows if r["jobs"] == 4)
         assert four["speedup"] >= 2.5, four

@@ -541,7 +541,7 @@ class _TreeStructure:
             ranks = [root, *(others[i] for i in self.perm)]
         else:
             ranks = [root, *others]
-        return CompiledTree(root, ranks, self.family, self.child_counts)
+        return CompiledTree(root, ranks, self.family)
 
 
 class _TreeLRU:
@@ -787,7 +787,7 @@ def _structure(
 
     The one entry point into the shared cache: :func:`tree_arrays` (the
     volume model and the generic protocol) and :func:`compiled_tree`
-    (the compiled protocol) both resolve their trees here, so every
+    (the kernel's protocol) both resolve their trees here, so every
     engine shares one set of entries and one set of hit/miss counters.
     """
     key = structure_tree_key(
@@ -828,52 +828,20 @@ def tree_arrays(
 
 
 class CompiledTree:
-    """One tree compiled for the vectorized collective state machines.
-
-    Where :class:`TreeArrays` is an ndarray view (the volume engine's
-    format), this is the DES hot-path format: the ranks as a plain
-    Python list indexed by construction-order position, sharing the
-    per-shape CSR adjacency and parent-position memos and the cached
-    structure's child counts across every tree of the same family and
-    size.  ``ranks[i]`` is the rank at position ``i`` (root at position
-    0); ``indptr``/``childpos`` give each position's children in
-    ascending position -- the exact forwarding order of the dict-based
-    builders.
+    """One tree in the DES kernel's format: plain lists where
+    :class:`TreeArrays` holds ndarrays.  ``ranks[i]`` is the rank at
+    construction-order position ``i`` (root 0), ``parentpos[i]`` its
+    parent's position (root -1; shared per shape).  The kernel derives
+    the children in ascending position -- the dict builders' order.
     """
 
-    __slots__ = (
-        "root",
-        "ranks",
-        "size",
-        "indptr",
-        "childpos",
-        "parentpos",
-        "child_counts",
-        "_pos",
-    )
+    __slots__ = ("root", "ranks", "size", "parentpos")
 
-    def __init__(
-        self,
-        root: int,
-        ranks: list[int],
-        family: str,
-        child_counts: np.ndarray,
-    ) -> None:
-        p = len(ranks)
+    def __init__(self, root: int, ranks: list[int], family: str) -> None:
         self.root = root
         self.ranks = ranks
-        self.size = p
-        self.indptr, self.childpos = _children_csr(family, p)
-        self.parentpos = _parent_positions(family, p)
-        self.child_counts = child_counts
-        self._pos: dict[int, int] | None = None
-
-    def pos_of(self) -> dict[int, int]:
-        """rank -> construction-order position (built lazily, once)."""
-        pos = self._pos
-        if pos is None:
-            pos = self._pos = dict(zip(self.ranks, range(self.size)))
-        return pos
+        self.size = len(ranks)
+        self.parentpos = _parent_positions(family, self.size)
 
 
 def compiled_tree(

@@ -42,21 +42,15 @@ Two interchangeable execution engines (``engine=``, default
 
 * ``"vectorized"`` (default) -- the :class:`~repro.simulate.vec.VecMachine` /
   :class:`~repro.simulate.vec.VecSimulator` stack on the native C kernel
-  (event queue, resource clocks and the point-to-point route) plus a
-  *compiled* protocol layer: on window entry every per-event quantity of a
-  supernode (GEMM/normalize/diag durations, send destinations, tags,
-  readiness keys) is precomputed in bulk with numpy, collectives run as
-  :class:`~repro.comm.vec_collectives.VecBroadcast` /
-  :class:`~repro.comm.vec_collectives.VecReduce` state machines over
-  :class:`~repro.comm.trees.CompiledTree` tables from the shared tree
-  structure cache, and the hot handlers are closure-free
-  (pre-registered handler ids + tuple arguments).  A supernode's
-  compiled tables live only while it is inside the lookahead window:
-  they are released when it retires, so the live heap is bounded by the
-  window, not by the run.  Numeric or telemetry-instrumented runs
-  transparently fall back to the generic protocol on the same machine:
-  array-based collectives (:class:`~repro.comm.collectives.ArrayBroadcast`
-  / :class:`~repro.comm.collectives.ArrayReduce`) routed over positional
+  (event queue, resource clocks, point-to-point route).  Symbolic runs
+  without hooks run the protocol in the kernel too: window entry hands
+  it a supernode's trees (:class:`~repro.comm.trees.CompiledTree`) in
+  one call, and Python hears back only when the supernode retires and
+  its tables are freed (so they are bounded by the lookahead window).
+  Numeric, telemetry and trace-log runs take the generic
+  protocol on the same machine: array-based collectives
+  (:class:`~repro.comm.collectives.ArrayBroadcast` /
+  :class:`~repro.comm.collectives.ArrayReduce`) routed over positional
   :class:`~repro.comm.trees.TreeArrays`.
 * ``"legacy"`` -- the original heapq :class:`Simulator` + per-message
   :class:`Message` objects + dict-based collectives: the oracle.
@@ -71,7 +65,7 @@ simply fastest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
+from itertools import accumulate
 from typing import Any
 
 import numpy as np
@@ -79,7 +73,6 @@ from scipy.linalg import solve_triangular
 
 from ..comm.collectives import ArrayBroadcast, ArrayReduce, TreeBroadcast, TreeReduce
 from ..comm.trees import build_tree, compiled_tree, tree_arrays, tree_cache_info
-from ..comm.vec_collectives import VecBroadcast, VecReduce
 from ..simulate import DEFAULT_ENGINE, check_engine
 from ..simulate.machine import CommStats, Machine, Message
 from ..simulate.vec import VecMachine
@@ -92,10 +85,6 @@ from .plan import BYTES_PER_ENTRY, SupernodePlan, iter_plans
 from .volume import collective_seed
 
 __all__ = ["PSelInvResult", "SimulatedPSelInv", "run_pselinv"]
-
-# What a retired supernode's compiled tables are reset to: read-only and
-# empty, so a late lookup finds nothing instead of a stale entry.
-_RETIRED: Any = MappingProxyType({})
 
 
 @dataclass
@@ -135,11 +124,6 @@ class _SupernodeState:
         "nrows",
         "cross_nbytes",
         "back_nbytes",
-        # Compiled-protocol tables (engine="vectorized", symbolic):
-        "rr_info",
-        "norm_vec",
-        "base_sec",
-        "finish_sec",
     )
 
     def __init__(self, plan: SupernodePlan):
@@ -280,20 +264,21 @@ class SimulatedPSelInv:
                 "tree_cache was built for a different configuration: "
                 f"{prior} vs {guard}"
             )
-        # The compiled (closure-free) protocol only handles the
-        # symbolic, un-instrumented case; numeric or telemetry runs on
-        # the vectorized engine fall back to the generic protocol on the
-        # same machine (identical outcomes, fewer specializations).
-        self._vec = (
-            engine == "vectorized" and not self.numeric and telemetry is None
+        # The kernel runs the protocol itself only for symbolic runs
+        # without hooks; numeric, telemetry and trace-log runs on the
+        # vectorized engine take the generic protocol on the same
+        # machine (identical outcomes).
+        self._native = (
+            engine == "vectorized" and not self.numeric
+            and telemetry is None and event_log is None
         )
         if engine == "legacy":
             self._bcast_cls: Any = TreeBroadcast
             self._reduce_cls: Any = TreeReduce
             for r in range(grid.size):
                 self.machine.set_handler(r, self._make_handler(r))
-        elif self._vec:
-            self._init_vec_protocol()
+        elif self._native:
+            self._init_native()
         else:
             self._bcast_cls = ArrayBroadcast
             self._reduce_cls = ArrayReduce
@@ -491,319 +476,53 @@ class SimulatedPSelInv:
             lowner = (bj.snode % pr) * pc + kc
             norm_blocks.setdefault(lowner, []).append(bj)
 
-    # -- compiled protocol (engine="vectorized", symbolic) -----------------------
+    # -- native protocol (engine="vectorized", symbolic, no hooks) ---------------
     #
-    # Same dataflow, same timestamps, zero per-event closures: window
-    # entry precomputes every duration/destination/tag in bulk with
-    # numpy, handlers are pre-registered ids dispatching on tuple
-    # arguments, collective traffic rides the machine's point route, and
-    # Ainv readiness keys are flat ints (row * nsup + col).  Every
-    # simulator event maps one-to-one onto a generic-protocol event, in the
-    # same sequence order -- that is the whole bit-identity argument.
+    # The same dataflow runs inside the kernel (``_kernel.c``): Python
+    # hands it the plan's block CSR once and each supernode's trees at
+    # window entry, and hears back only when a supernode retires.
 
-    def _init_vec_protocol(self) -> None:
+    def _init_native(self) -> None:
         m = self.machine
-        sim = m.sim
-        cat = m.category_id
-        self._cid_db = cat("diag-bcast")
-        self._cid_cb = cat("col-bcast")
-        self._cid_rr = cat("row-reduce")
-        self._cid_cr = cat("col-reduce")
-        self._cid_cross = cat("cross-send")
-        self._cid_back = cat("cross-back")
-        self._hid_gemm = sim.register_handler(self._gemm_fin_vec)
-        self._hid_norm = sim.register_handler(self._norm_fin_vec)
-        self._hid_diagc = sim.register_handler(self._diag_fin_vec)
-        self._hid_base = sim.register_handler(self._base_fin_vec)
-        self._hid_colred = sim.register_handler(self._colred_fin_vec)
-        self._ready: set[int] = set()
-        self._vwaiters: dict[int, list] = {}
-        # Column broadcasts waiting on their cross-send, keyed
-        # k * nsup + i (popped exactly once when the Lhat panel lands).
-        self._vec_cb: dict[int, Any] = {}
-        self._nsup = self.struct.nsup
-
-    def _ctree(self, spec) -> Any:
-        """The spec's :class:`CompiledTree`, memoized like :meth:`_tree`
-        but under a distinct key prefix -- the same run-level cache may
-        also hold :class:`TreeArrays` (numeric/telemetry fallback) for
-        identical specs, and the two representations must not collide."""
-        key = ("v", spec.key)
-        tree = self._tree_cache.get(key)
-        if tree is None:
-            tree = compiled_tree(
-                self.scheme,
-                spec.root,
-                spec.participants,
-                collective_seed(self.seed, spec.key),
-                hybrid_threshold=self.hybrid_threshold,
-            )
-            self._tree_cache[key] = tree
-        return tree
-
-    def _setup_supernode_vec(self, plan: SupernodePlan) -> None:
-        """Window entry: compile supernode ``plan.k``'s whole protocol.
-
-        Fuses ``_gemm_counts`` + ``_build_collectives`` and additionally
-        precomputes, in bulk numpy expressions, every compute duration
-        the per-message path derives one flop count at a time.  All
-        duration arithmetic reproduces ``Network.compute_time``'s exact
-        float expression (the products are exact integers below 2^53,
-        so factoring them elementwise cannot change a bit).
-        """
-        m = self.machine
-        k = plan.k
-        st = self.states[k]
-        nsup = self._nsup
-        nranks = self.grid.size
-        pr, pc = self.grid.pr, self.grid.pc
-        kc = k % pc
-        kr_pc = (k % pr) * pc
+        cids = tuple(m.category_id(c) for c in (
+            "diag-bcast", "col-bcast", "row-reduce", "col-reduce",
+            "cross-send", "cross-back",
+        ))
+        blkptr = [0, *accumulate(len(p.blocks) for p in self.plans)]
+        blocks = [b for p in self.plans for b in p.blocks]
         cfg = m.network.config
-        task_oh = cfg.task_overhead
-        rate = cfg.flop_rate
-        blocks = plan.blocks
-        nb = len(blocks)
-        snodes = [b.snode for b in blocks]
-        s = plan.width
-        sn = np.array(snodes)
-        nr = np.array([b.nrows for b in blocks])
-        jrows_l = ((sn % pr) * pc).tolist()
-        cols_l = (sn % pc).tolist()
-        # Durations: [i_idx][j_idx] GEMM seconds, per-block normalize
-        # and diag-contribution seconds, and the two scalar diag terms.
-        secs = (
-            task_oh + (np.multiply.outer(2.0 * nr, nr) * s) / rate
-        ).tolist()
-        norm_secs = (task_oh + (s * s * nr) / rate).tolist()
-        dc_secs = (task_oh + (((2.0 * s) * nr) * s) / rate).tolist()
-        st.base_sec = task_oh + (s ** 3) / rate
-        st.finish_sec = task_oh + float(s * s) / rate
-        # Row blocks grouped by grid row (insertion = block order), and
-        # the distinct column positions with their multiplicities.
-        rowgroups: dict[int, list[int]] = {}
-        for idx in range(nb):
-            g = rowgroups.get(jrows_l[idx])
-            if g is None:
-                rowgroups[jrows_l[idx]] = [idx]
-            else:
-                g.append(idx)
-        colcount: dict[int, int] = {}
-        for c in cols_l:
-            colcount[c] = colcount.get(c, 0) + 1
-        ucols = list(colcount)
-        ucnts = list(colcount.values())
-        # Collectives go up in the generic protocol's construction order
-        # (diag bcast, col bcasts, row reduces, col reduce): reduce
-        # construction can emit degenerate-relay sends, so this order is
-        # part of the bit-identity contract.
-        spec = plan.diag_bcast
-        diag_bc = VecBroadcast(
-            m, self._ctree(spec), spec.key, spec.nbytes, self._cid_db,
-            self._on_diag_delivery_vec, st,
+        m.sim.attach_protocol(
+            self.grid.pr, self.grid.pc, cids, cfg.task_overhead,
+            cfg.flop_rate, [p.width for p in self.plans], blkptr,
+            [b.snode for b in blocks], [b.nrows for b in blocks],
+            self._supernode_finished,
         )
-        vcb = self._vec_cb
-        kn = k * nsup
-        # The delivery context of col-bcast i carries its GEMM-duration
-        # row and snode id directly; the per-rank work tables are shared
-        # across every i (a rank's row group does the same j's for each
-        # broadcast it receives -- the legacy tables stored one copy per
-        # (i, rank) pair).
-        idx_of = {sn_: x for x, sn_ in enumerate(snodes)}
-        for spec in plan.col_bcasts:
-            i = spec.key[2]
-            vcb[kn + i] = VecBroadcast(
-                m, self._ctree(spec), spec.key, spec.nbytes, self._cid_cb,
-                self._on_colbcast_delivery_vec, (st, secs[idx_of[i]], i),
-            )
-        gl: dict[int, int] = {}
-        st.gemms_left = gl
-        fin_args: dict[int, tuple] = {}
-        for spec in plan.row_reduces:
-            j = spec.key[2]
-            tree = self._ctree(spec)
-            pos = tree.pos_of()
-            jrow_j = (j % pr) * pc
-            jn = j * nranks
-            red = VecReduce(
-                m, tree, spec.key, spec.nbytes, self._cid_rr,
-                [pos[jrow_j + c] for c in ucols],
-                self._on_rowreduce_complete_vec, (st, j),
-            )
-            for c, cnt in zip(ucols, ucnts):
-                r = jrow_j + c
-                gkey = jn + r
-                gl[gkey] = cnt
-                fin_args[gkey] = (gl, gkey, red, pos[r])
-        dl: dict[int, int] = {}
-        st.diag_left = dl
-        for jrow, g in rowgroups.items():
-            dl[jrow + kc] = len(g)
-        spec = plan.col_reduce
-        tree = self._ctree(spec)
-        pos = tree.pos_of()
-        cr = VecReduce(
-            m, tree, spec.key, spec.nbytes, self._cid_cr,
-            [pos[d] for d in dl],
-            self._on_colreduce_complete_vec, st,
-        )
-        dfin = {d: (dl, d, cr, pos[d]) for d in dl}
-        # Per row block j: everything its row-reduce completion touches.
-        xnb = st.back_nbytes
-        rr_info: dict[int, tuple] = {}
-        st.rr_info = rr_info
-        for idx in range(nb):
-            j = snodes[idx]
-            dest = jrows_l[idx] + kc
-            rr_info[j] = (
-                j * nsup + k,           # readiness key of Ainv(J,K)
-                dest,                   # owner of L(J,K)
-                kr_pc + cols_l[idx],    # owner of U(K,J) (cross-back)
-                ("xb", k, j),
-                xnb[j],
-                kn + j,                 # readiness key of Ainv(K,J)
-                dc_secs[idx],
-                dfin[dest],
-            )
-        # Per L-panel owner: normalize duration + cross-send arguments.
-        cnb = st.cross_nbytes
-        nv: dict[int, list] = {}
-        st.norm_vec = nv
-        for idx in range(nb):
-            i = snodes[idx]
-            lowner = jrows_l[idx] + kc
-            ent = (
-                norm_secs[idx],
-                (lowner, kr_pc + cols_l[idx], ("cs", k, i), cnb[i], kn + i),
-            )
-            g = nv.get(lowner)
-            if g is None:
-                nv[lowner] = [ent]
-            else:
-                g.append(ent)
-        # Per contributing rank: its row group's block indices, the
-        # shared countdown tuples of its (j, rank) pairs, and the j-part
-        # of each readiness key -- one table per rank, reused by every
-        # col-bcast delivery there (block order throughout).
-        bg: dict[int, tuple] = {}
-        st.bcast_gemms = bg
-        for jrow, group in rowgroups.items():
-            jsn = [snodes[x] * nsup for x in group]
-            for c in ucols:
-                rank = jrow + c
-                bg[rank] = (
-                    group,
-                    [fin_args[snodes[x] * nranks + rank] for x in group],
-                    jsn,
+
+    def _load_native(self, plan: SupernodePlan) -> None:
+        """Window entry: hand supernode ``plan.k``'s trees (construction
+        order: diag-bcast, col-bcasts, row-reduces, col-reduce) to the
+        kernel."""
+        sizes, ranks, parents, nbytes, xbytes = [], [], [], [], []
+        cache = self._tree_cache
+        specs = (
+            plan.diag_bcast, *plan.col_bcasts, *plan.row_reduces,
+            plan.col_reduce,
+        ) if plan.blocks else ()
+        for spec in specs:
+            tree = cache.get(("v", spec.key))  # not the TreeArrays key
+            if tree is None:
+                tree = cache[("v", spec.key)] = compiled_tree(
+                    self.scheme, spec.root, spec.participants,
+                    collective_seed(self.seed, spec.key),
+                    hybrid_threshold=self.hybrid_threshold,
                 )
-        self.machine.sim.schedule(0.0, lambda bc=diag_bc: bc.start(None))
-
-    def _mark_ready_vec(self, rkey: int) -> None:
-        self._ready.add(rkey)
-        w = self._vwaiters.pop(rkey, None)
-        if w is not None:
-            post = self.machine.post_named
-            hid = self._hid_gemm
-            for rank, sec, arg in w:
-                post(rank, sec, hid, arg)
-
-    def _on_diag_delivery_vec(self, st, rank: int, payload) -> None:
-        if rank == st.plan.diag_owner:
-            self.machine.post_named(rank, st.base_sec, self._hid_base, st)
-        ents = st.norm_vec.get(rank)
-        if ents is not None:
-            post = self.machine.post_named
-            hid = self._hid_norm
-            for sec, arg in ents:
-                post(rank, sec, hid, arg)
-
-    def _base_fin_vec(self, st) -> None:
-        st.base = None
-
-    def _norm_fin_vec(self, arg) -> None:
-        # (src, u_owner, ("cs", k, i), nbytes, col-bcast key)
-        self.machine.send_pt(
-            arg[0], arg[1], arg[2], arg[3], self._cid_cross,
-            self._on_cross_send_vec, arg[4],
-        )
-
-    def _on_cross_send_vec(self, dst: int, payload, aux: int) -> None:
-        self._vec_cb.pop(aux).start(payload)
-
-    def _on_colbcast_delivery_vec(self, ctx, rank: int, payload) -> None:
-        st, sec_row, i = ctx
-        tab = st.bcast_gemms.get(rank)
-        if tab is None:
-            return
-        group, fins, jsn = tab
-        ready = self._ready
-        waiters = self._vwaiters
-        post = self.machine.post_named
-        hid = self._hid_gemm
-        for x in range(len(group)):
-            rkey = jsn[x] + i
-            if rkey in ready:
-                post(rank, sec_row[group[x]], hid, fins[x])
-            else:
-                ent = (rank, sec_row[group[x]], fins[x])
-                w = waiters.get(rkey)
-                if w is None:
-                    waiters[rkey] = [ent]
-                else:
-                    w.append(ent)
-
-    def _gemm_fin_vec(self, arg) -> None:
-        gl, gkey, red, cpos = arg
-        n = gl[gkey] - 1
-        gl[gkey] = n
-        if n == 0:
-            red.contribute_pos(cpos)
-
-    def _on_rowreduce_complete_vec(self, ctx, value) -> None:
-        st, j = ctx
-        rkey, dest, u_owner, xbtag, nbytes, bkey, dcsec, dfin = st.rr_info[j]
-        self._mark_ready_vec(rkey)
-        self.machine.send_pt(
-            dest, u_owner, xbtag, nbytes, self._cid_back,
-            self._on_cross_back_vec, bkey,
-        )
-        self.machine.post_named(dest, dcsec, self._hid_diagc, dfin)
-
-    def _on_cross_back_vec(self, dst: int, payload, aux: int) -> None:
-        self._mark_ready_vec(aux)
-
-    def _diag_fin_vec(self, arg) -> None:
-        dl, dest, cr, cpos = arg
-        n = dl[dest] - 1
-        dl[dest] = n
-        if n == 0:
-            cr.contribute_pos(cpos)
-
-    def _on_colreduce_complete_vec(self, st, value) -> None:
-        self.machine.post_named(
-            st.plan.diag_owner, st.finish_sec, self._hid_colred, st
-        )
-
-    def _colred_fin_vec(self, st) -> None:
-        k = st.plan.k
-        self._retire_vec(st)
-        self._mark_ready_vec(k * self._nsup + k)
-        self._supernode_finished()
-
-    @staticmethod
-    def _retire_vec(st) -> None:
-        """Window exit: release supernode ``st``'s compiled tables.
-
-        Once its diagonal block is finished, nothing of the supernode is
-        pending except cross-backs in flight (which carry only int
-        readiness keys) and, possibly, col-bcast relay deliveries, which
-        must find an empty table rather than a stale one.  Dropping the
-        tables frees every collective and countdown the supernode owned
-        by refcounting, so the live heap follows the lookahead window
-        rather than growing with the run.
-        """
-        st.rr_info = st.norm_vec = st.bcast_gemms = _RETIRED
-        st.gemms_left = st.diag_left = _RETIRED
+            sizes.append(tree.size)
+            ranks += tree.ranks
+            parents += tree.parentpos
+            nbytes.append(spec.nbytes)
+        for p in (*plan.cross_sends, *plan.cross_backs):
+            xbytes.append(p.nbytes)
+        self.machine.sim.load(plan.k, sizes, ranks, parents, nbytes, xbytes)
 
     # -- phase 0: kickoff ------------------------------------------------------
 
@@ -837,6 +556,9 @@ class SimulatedPSelInv:
     def _start_supernode(self, k: int) -> None:
         st = self.states[k]
         plan = st.plan
+        if self._native:
+            self._load_native(plan)
+            return
         if not plan.blocks:
             # A root supernode with empty structure: its inverse is
             # just the inverted diagonal block, computed locally.
@@ -851,9 +573,6 @@ class SimulatedPSelInv:
                 flops=s**3,
                 label="diag-inv",
             )
-            return
-        if self._vec:
-            self._setup_supernode_vec(plan)
             return
         self._gemm_counts(plan)
         self._build_collectives(plan)
@@ -874,11 +593,7 @@ class SimulatedPSelInv:
             ident = np.eye(s)
             linv = solve_triangular(payload, ident, lower=True, unit_diagonal=True)
             st.diag_value = solve_triangular(payload, linv, lower=False)
-        if self._vec:
-            self._retire_vec(st)
-            self._mark_ready_vec(k * self._nsup + k)
-        else:
-            self._mark_ainv_ready((k, k), st.diag_value, self.grid.owner(k, k))
+        self._mark_ainv_ready((k, k), st.diag_value, self.grid.owner(k, k))
         self._supernode_finished()
 
     # -- phase 1: diagonal broadcast and panel normalization ---------------------

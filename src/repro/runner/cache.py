@@ -120,8 +120,9 @@ def get_tree_cache(
 
     Trees depend on ``(struct, grid, scheme, seed, hybrid_threshold)``
     -- and on the engine, which fixes the cached representation
-    (``CompiledTree`` or, for numeric/telemetry runs, positional
-    ``TreeArrays`` for vectorized; dict ``CommTree`` for legacy) -- but
+    (``CompiledTree`` or, for numeric/telemetry/trace-log runs,
+    positional ``TreeArrays`` for vectorized; dict ``CommTree`` for
+    legacy) -- but
     not on jitter/placement seeds, so repeated runs of a sweep point
     share one cache -- the same sharing the serial Fig. 8 loop used.
     Problems outside the memo get a fresh private cache.

@@ -63,8 +63,8 @@ class ExperimentSpec:
     # snapshot back in ``RunRecord.metrics``.  Off by default; the
     # simulated outcome is bit-identical either way.
     telemetry: bool = False
-    # DES engine: "vectorized" (the default: native C kernel and
-    # compiled collective state machines) or "legacy" (the pure-Python
+    # DES engine: "vectorized" (the default: native C kernel, which
+    # also runs the symbolic protocol) or "legacy" (the pure-Python
     # heapq reference).  The simulated outcome is
     # bit-identical across engines, so the result store does not hash
     # it; this knob exists for head-to-head benchmarking and as the

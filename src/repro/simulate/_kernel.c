@@ -11,14 +11,18 @@
  *     per-category byte/message columns (float64/int64 buffers owned by
  *     VecCommStats), and one open-addressing map from the rank pair
  *     src*n+dst to (latency, 1/bandwidth, jitter, channel FIFO clock),
- *     filled from Network.pair_params on a miss;
- *   - the point route: send_pt/send_batch push a receive event, the
- *     receive is handled here, and only the delivery cb(dst, None, aux)
- *     calls back into Python.
+ *     filled from Network.pair_params once per node pair;
+ *   - the point route: a send pushes a receive event, the receive is
+ *     handled here, and the delivery either calls cb(dst, None, aux)
+ *     (send_pt) or is a message of
+ *   - the symbolic PSelInv protocol: per-supernode tables (trees,
+ *     countdowns, durations) loaded at window entry, Ainv readiness and
+ *     waiting GEMMs; broadcasts, reductions, computes and cross sends
+ *     run here, and Python is called only when a supernode retires.
  *
  * Handler ids: 0 calls fn(), 1 calls fn(arg), ids >= 2 call
- * table[id](arg); the two negative ids are the native receive and
- * delivery stages of the point route.
+ * table[id](arg); the negative ids are the native receive and delivery
+ * stages of the point route and the protocol's compute completions.
  *
  * Every cost expression keeps the term order of repro.simulate.machine
  * (build with -O2 -fno-fast-math -ffp-contract=off), so the floats are
@@ -29,7 +33,10 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-enum { HID_CALL0 = 0, HID_CALL1 = 1, HID_RECV_PT = -1, HID_DELIV_PT = -2 };
+enum {
+    HID_CALL0 = 0, HID_CALL1 = 1, HID_RECV_PT = -1, HID_DELIV_PT = -2,
+    HID_PROTO = -3
+};
 
 /* Clock and busy columns, in the order attach_machine takes them. */
 enum {
@@ -42,11 +49,13 @@ typedef struct {
     unsigned long long seq;
     long long nbytes;
     long long aux;
-    PyObject *obj;  /* callable, handler argument or delivery callback */
+    PyObject *obj;  /* callable, handler argument or delivery callback
+                       (NULL: a protocol message) */
     PyObject *obj2; /* argument of a HID_CALL1 event, else NULL */
     int hid;
     int dst;
-    int cid;
+    int cid;        /* category id; the op of a HID_PROTO event */
+    int sn;         /* supernode of a protocol event (-1: cross-back) */
 } Event;
 
 typedef struct {
@@ -54,12 +63,40 @@ typedef struct {
     double lat, ibw, jit, chan;
 } Pair;
 
+/* Open-addressing map of Pair records by key. */
+typedef struct {
+    Pair *pairs;
+    Py_ssize_t pcap, pcount;
+} PairMap;
+
 typedef struct {
     double *sent;
     long long *count;
     double *recv;
     PyObject *sent_o, *count_o, *recv_o;
 } Column;
+
+/* A GEMM waiting for its Ainv block (a node of a per-block list). */
+typedef struct {
+    double sec;
+    int rank, sn, idx, next;
+} Waiter;
+
+/* One live supernode's protocol tables (see "the symbolic PSelInv
+ * protocol" below).  Collective c's tree occupies positions
+ * cbase[c] .. cbase[c+1]-1 of rank/par/kptr/pend; par and kid hold
+ * tree-local positions. */
+typedef struct {
+    int k, s, nb, nu, ng;
+    const int *snode, *nrows;           /* the block CSR's rows of k */
+    int *rowslot, *colslot;             /* grid row/col -> group / column slot */
+    int *gptr, *gidx;                   /* blocks per row group */
+    int *cbase, *rank, *par, *kptr, *kid, *pend;
+    int *gl, *gpos;                     /* [nb * nu] GEMM countdowns */
+    int *dl, *dpos;                     /* [ng] diagonal countdowns */
+    long long *cbytes, *xbytes;         /* per collective; cross-send/back */
+    double base, finish, *norm, *dc;
+} Table;
 
 typedef struct {
     PyObject_HEAD
@@ -78,8 +115,19 @@ typedef struct {
     PyObject *pair_params, *binder;
     Column *cols;
     Py_ssize_t ncols;
-    Pair *pairs;
-    Py_ssize_t pcap, pcount;
+    PairMap pm;    /* rank pairs: parameters and channel clocks */
+    PairMap nodes; /* node pairs: parameters (chan unused) */
+    int *node;     /* [nranks] node of each rank */
+    /* symbolic protocol (pr == 0: none attached) */
+    int pr, pc, nsup, ntot, live, cat[6];
+    double task_oh, rate;
+    int *width, *blkptr, *blksn, *blknr; /* block CSR of every supernode */
+    char *ready;                         /* [2 * ntot + nsup] */
+    int *wq, wfree, wcap;                /* waiter list head, tail per id */
+    Waiter *wpool;
+    Table **tabs;                        /* [nsup], NULL unless live */
+    int *posmap;                         /* [nranks] scratch, all -1 */
+    PyObject *retire;
 } Kernel;
 
 /* -- event heap ---------------------------------------------------------- */
@@ -93,7 +141,7 @@ before(const Event *a, const Event *b)
 /* Push an event; steals the references to obj and obj2 (also on error). */
 static int
 push(Kernel *k, double t, int hid, PyObject *obj, PyObject *obj2,
-     int dst, int cid, long long nbytes, long long aux)
+     int dst, int cid, long long nbytes, long long aux, int sn)
 {
     if (k->size == k->cap) {
         Py_ssize_t cap = k->cap ? 2 * k->cap : 1024;
@@ -117,6 +165,7 @@ push(Kernel *k, double t, int hid, PyObject *obj, PyObject *obj2,
     e.hid = hid;
     e.dst = dst;
     e.cid = cid;
+    e.sn = sn;
     Event *h = k->heap;
     Py_ssize_t i = k->size++;
     while (i > 0) {
@@ -289,69 +338,86 @@ column(Kernel *k, int cid, int recv)
 }
 
 static inline size_t
-pair_slot(Kernel *k, long long key)
+pair_slot(PairMap *m, long long key)
 {
-    size_t mask = (size_t)k->pcap - 1;
+    size_t mask = (size_t)m->pcap - 1;
     unsigned long long h = (unsigned long long)key * 0x9E3779B97F4A7C15ULL;
     size_t i = (size_t)(h ^ (h >> 29)) & mask;
-    while (k->pairs[i].key != key && k->pairs[i].key >= 0)
+    while (m->pairs[i].key != key && m->pairs[i].key >= 0)
         i = (i + 1) & mask;
     return i;
 }
 
-static int
-pairs_reserve(Kernel *k)
+static Pair *
+pair_get(PairMap *m, long long key)
 {
-    if (2 * (k->pcount + 1) <= k->pcap)
-        return 0;
-    Py_ssize_t cap = k->pcap ? 2 * k->pcap : 256;
-    Pair *old = k->pairs;
-    Py_ssize_t ocap = k->pcap;
-    Pair *p = PyMem_Malloc((size_t)cap * sizeof(Pair));
-    if (p == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (Py_ssize_t i = 0; i < cap; i++)
-        p[i].key = -1;
-    k->pairs = p;
-    k->pcap = cap;
-    for (Py_ssize_t i = 0; i < ocap; i++)
-        if (old[i].key >= 0)
-            k->pairs[pair_slot(k, old[i].key)] = old[i];
-    PyMem_Free(old);
-    return 0;
+    if (m->pcap == 0)
+        return NULL;
+    Pair *p = &m->pairs[pair_slot(m, key)];
+    return p->key == key ? p : NULL;
 }
 
-/* The (lat, 1/bw, jitter, channel clock) record of src -> dst. */
+/* Insert rec (its key absent from m); returns the stored record. */
+static Pair *
+pair_put(PairMap *m, const Pair *rec)
+{
+    if (2 * (m->pcount + 1) > m->pcap) {
+        Py_ssize_t cap = m->pcap ? 2 * m->pcap : 256, ocap = m->pcap;
+        Pair *old = m->pairs, *p = PyMem_Malloc((size_t)cap * sizeof(Pair));
+        if (p == NULL) {
+            PyErr_NoMemory();
+            return NULL;
+        }
+        for (Py_ssize_t i = 0; i < cap; i++)
+            p[i].key = -1;
+        m->pairs = p;
+        m->pcap = cap;
+        for (Py_ssize_t i = 0; i < ocap; i++)
+            if (old[i].key >= 0)
+                m->pairs[pair_slot(m, old[i].key)] = old[i];
+        PyMem_Free(old);
+    }
+    Pair *p = &m->pairs[pair_slot(m, rec->key)];
+    *p = *rec;
+    m->pcount++;
+    return p;
+}
+
+static void
+pairs_clear(PairMap *m)
+{
+    PyMem_Free(m->pairs);
+    m->pairs = NULL;
+    m->pcap = m->pcount = 0;
+}
+
+/* The (lat, 1/bw, jitter, channel clock) record of src -> dst.  The
+ * parameters depend only on the two ranks' nodes, so Network.pair_params
+ * is asked once per node pair. */
 static Pair *
 pair(Kernel *k, int src, int dst)
 {
     long long key = (long long)src * k->nranks + dst;
-    if (k->pcap) {
-        size_t i = pair_slot(k, key);
-        if (k->pairs[i].key == key)
-            return &k->pairs[i];
+    Pair *p = pair_get(&k->pm, key);
+    if (p != NULL)
+        return p;
+    Pair rec = {(long long)k->node[src] * k->nranks + k->node[dst]};
+    Pair *q = pair_get(&k->nodes, rec.key);
+    if (q != NULL)
+        rec = *q;
+    else {
+        PyObject *r = PyObject_CallFunction(k->pair_params, "ii", src, dst);
+        if (r == NULL)
+            return NULL;
+        int ok = PyArg_ParseTuple(r, "ddd;pair_params must return 3 floats",
+                                  &rec.lat, &rec.ibw, &rec.jit);
+        Py_DECREF(r);
+        if (!ok || pair_put(&k->nodes, &rec) == NULL)
+            return NULL;
     }
-    PyObject *r = PyObject_CallFunction(k->pair_params, "ii", src, dst);
-    if (r == NULL)
-        return NULL;
-    double lat, ibw, jit;
-    int ok = PyArg_ParseTuple(r, "ddd;pair_params must return 3 floats",
-                              &lat, &ibw, &jit);
-    Py_DECREF(r);
-    if (!ok || pairs_reserve(k) < 0)
-        return NULL;
-    Pair *p = &k->pairs[pair_slot(k, key)];
-    if (p->key != key) {
-        p->key = key;
-        p->lat = lat;
-        p->ibw = ibw;
-        p->jit = jit;
-        p->chan = 0.0;
-        k->pcount++;
-    }
-    return p;
+    rec.key = key;
+    rec.chan = 0.0;
+    return pair_put(&k->pm, &rec);
 }
 
 /* Sender side of one message: category tallies, the NIC injection
@@ -438,10 +504,11 @@ occupy(Kernel *k, int rank, double seconds)
     return start;
 }
 
-/* One point-route send (the body of send_pt / send_batch). */
+/* One point-route send: a Python delivery callback cb(dst, None, aux)
+ * (send_pt), or a protocol message (cb NULL, see below). */
 static int
 send_point(Kernel *k, int src, int dst, long long nbytes, int cid,
-           PyObject *cb, long long aux)
+           PyObject *cb, long long aux, int sn)
 {
     double arrival;
     int hid;
@@ -455,8 +522,248 @@ send_point(Kernel *k, int src, int dst, long long nbytes, int cid,
             return -1;
         hid = HID_RECV_PT;
     }
-    Py_INCREF(cb);
-    return push(k, arrival, hid, cb, NULL, dst, cid, nbytes, aux);
+    Py_XINCREF(cb);
+    return push(k, arrival, hid, cb, NULL, dst, cid, nbytes, aux, sn);
+}
+
+/* -- the symbolic PSelInv protocol ---------------------------------------- *
+ *
+ * The dataflow of repro.core.pselinv (symbolic runs without hooks), with
+ * no Python between window entry (load) and retirement.  Collective c of
+ * supernode K is 0 = diag-bcast, 1 + x = col-bcast of block x, 1 + nb + x
+ * = row-reduce of block x, 2 nb + 1 = col-reduce.  A protocol message is
+ * a point-route event with no callback: sn = K and aux = c << 32 | tree
+ * position (a cross-send is a delivery at the col-bcast root: its start),
+ * or sn = -1 and aux = the readiness id a cross-back marks.  A HID_PROTO
+ * event is a compute completion or the diag-bcast start, its op in cid.
+ * Readiness ids are dense: block b of the block CSR owns L(J,K) = b and
+ * U(K,J) = ntot + b; Ainv(K,K) is 2 ntot + K.  Every push happens in the
+ * order of the per-message protocol, so (time, seq) is bit-identical.
+ */
+
+enum { OP_START, OP_BASE, OP_NORM, OP_GEMM, OP_DIAG, OP_FINISH };
+enum { C_DB, C_CB, C_RR, C_CR, C_CS, C_XB }; /* category slots */
+
+/* Occupy rank's CPU for sec, then run op at the finish time. */
+static int
+post_op(Kernel *k, int rank, double sec, int op, int sn, long long aux)
+{
+    double finish = occupy(k, rank, sec) + sec;
+    return push(k, finish, HID_PROTO, NULL, NULL, rank, op, 0, aux, sn);
+}
+
+static inline long long
+target(int c, int y)
+{
+    return (long long)c << 32 | (unsigned)y;
+}
+
+/* Readiness id of Ainv(J,I): a binary search in the block list of
+ * supernode min(J, I); -1 (with an exception) if no supernode makes it. */
+static int
+rid_of(Kernel *k, int j, int i)
+{
+    if (j == i)
+        return 2 * k->ntot + i;
+    int s = j < i ? j : i, t = j < i ? i : j;
+    int lo = k->blkptr[s], hi = k->blkptr[s + 1], end = hi;
+    while (lo < hi) {
+        int mid = (lo + hi) / 2;
+        if (k->blksn[mid] < t)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    if (lo == end || k->blksn[lo] != t) {
+        PyErr_Format(PyExc_RuntimeError, "no supernode produces Ainv(%d, %d)",
+                     j, i);
+        return -1;
+    }
+    return j > i ? lo : k->ntot + lo;
+}
+
+/* Ainv block rid is ready: post its waiting GEMMs in arrival order. */
+static int
+mark_ready(Kernel *k, int rid)
+{
+    int w = k->wq[2 * rid];
+    k->ready[rid] = 1;
+    k->wq[2 * rid] = -1;
+    while (w >= 0) {
+        Waiter *p = &k->wpool[w];
+        int next = p->next;
+        p->next = k->wfree; /* back to the free list; *p stays intact */
+        k->wfree = w;
+        if (post_op(k, p->rank, p->sec, OP_GEMM, p->sn, p->idx) < 0)
+            return -1;
+        w = next;
+    }
+    return 0;
+}
+
+/* Queue a GEMM until Ainv block rid is ready (wq: head, tail per id). */
+static int
+wait_for(Kernel *k, int rid, Waiter w)
+{
+    int i = k->wfree, *q = &k->wq[2 * rid];
+    if (i < 0) { /* grow the pool; the new nodes form the free list */
+        int cap = k->wcap ? 2 * k->wcap : 256;
+        Waiter *p = PyMem_Realloc(k->wpool, (size_t)cap * sizeof(Waiter));
+        if (p == NULL)
+            return PyErr_NoMemory(), -1;
+        for (int j = k->wcap; j < cap; j++)
+            p[j].next = j + 1 < cap ? j + 1 : -1;
+        k->wpool = p;
+        i = k->wcap;
+        k->wcap = cap;
+    }
+    k->wfree = k->wpool[i].next;
+    w.next = -1;
+    k->wpool[i] = w;
+    *(q[0] < 0 ? &q[0] : &k->wpool[q[1]].next) = i;
+    q[1] = i;
+    return 0;
+}
+
+/* A broadcast reached position y of collective c: forward to the
+ * children in ascending position, then run the local work. */
+static int
+bcast_deliver(Kernel *k, Table *t, int c, int y)
+{
+    int B = t->cbase[c], rank = t->rank[B + y], pc = k->pc, sn = t->k;
+    for (int e = t->kptr[B + y]; e < t->kptr[B + y + 1]; e++)
+        if (send_point(k, rank, t->rank[B + t->kid[e]], t->cbytes[c],
+                       k->cat[c ? C_CB : C_DB], NULL, target(c, t->kid[e]),
+                       sn) < 0)
+            return -1;
+    /* The blocks of this rank's grid row (its row group). */
+    int g = t->rowslot[rank / pc], u = t->colslot[rank % pc];
+    int lo = g < 0 ? 0 : t->gptr[g], hi = g < 0 ? 0 : t->gptr[g + 1];
+    if (c == 0) {
+        /* diag-bcast: the base term at the diagonal owner, then the
+         * normalizations of the L(I,K) blocks this rank owns. */
+        if (rank == (sn % k->pr) * pc + sn % pc &&
+            post_op(k, rank, t->base, OP_BASE, sn, 0) < 0)
+            return -1;
+        for (int e = lo; rank % pc == sn % pc && e < hi; e++)
+            if (post_op(k, rank, t->norm[t->gidx[e]], OP_NORM, sn,
+                        t->gidx[e]) < 0)
+                return -1;
+        return 0;
+    }
+    /* col-bcast of block c - 1: one GEMM per row block J of the row
+     * group, each once Ainv(J,I) is ready. */
+    double a = 2.0 * t->nrows[c - 1];
+    for (int e = lo; u >= 0 && e < hi; e++) {
+        int x = t->gidx[e], rid = rid_of(k, t->snode[x], t->snode[c - 1]);
+        Waiter w = {k->task_oh + ((a * t->nrows[x]) * t->s) / k->rate, rank,
+                    sn, x * t->nu + u};
+        if (rid < 0 || (k->ready[rid]
+                            ? post_op(k, rank, w.sec, OP_GEMM, sn, w.idx)
+                            : wait_for(k, rid, w)) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* Reduction position y of collective c has all its inputs. */
+static int
+reduce_finish(Kernel *k, Table *t, int c, int y)
+{
+    int B = t->cbase[c], nb = t->nb, pc = k->pc, sn = t->k;
+    if (y)
+        return send_point(k, t->rank[B + y], t->rank[B + t->par[B + y]],
+                          t->cbytes[c], k->cat[c > 2 * nb ? C_CR : C_RR],
+                          NULL, target(c, t->par[B + y]), sn);
+    if (c > 2 * nb) /* col-reduce: finish Ainv(K,K) at the diagonal owner */
+        return post_op(k, t->rank[B], t->finish, OP_FINISH, sn, 0);
+    /* row-reduce of block x: Ainv(J,K) is ready at the owner of L(J,K);
+     * cross it back to U(K,J) and add its diagonal contribution. */
+    int x = c - 1 - nb, row = t->snode[x] % k->pr, b = k->blkptr[sn] + x;
+    int dest = row * pc + sn % pc;
+    if (mark_ready(k, b) < 0 ||
+        send_point(k, dest, (sn % k->pr) * pc + t->snode[x] % pc,
+                   t->xbytes[nb + x], k->cat[C_XB], NULL, k->ntot + b, -1) < 0)
+        return -1;
+    return post_op(k, dest, t->dc[x], OP_DIAG, sn, t->rowslot[row]);
+}
+
+/* One more input reached reduction position y of collective c. */
+static inline int
+reduce_count(Kernel *k, Table *t, int c, int y)
+{
+    return --t->pend[t->cbase[c] + y] ? 0 : reduce_finish(k, t, c, y);
+}
+
+/* A protocol message arrived (the point route's delivery stage). */
+static int
+proto_deliver(Kernel *k, int sn, long long aux)
+{
+    if (sn < 0) /* cross-back: U(K,J) is ready */
+        return mark_ready(k, (int)aux);
+    Table *t = k->tabs[sn];
+    int c = (int)(aux >> 32), y = (int)(aux & 0xffffffff);
+    if (t == NULL) /* the supernode has retired */
+        return 0;
+    return c <= t->nb ? bcast_deliver(k, t, c, y) : reduce_count(k, t, c, y);
+}
+
+/* A HID_PROTO event: a compute completion or the diag-bcast start. */
+static int
+proto_op(Kernel *k, Event *e)
+{
+    Table *t = k->tabs[e->sn];
+    int x = (int)e->aux, sn = e->sn, pr = k->pr, pc = k->pc;
+    if (e->cid == OP_FINISH) {
+        /* Retire: free the tables (a block-free supernode has none),
+         * mark Ainv(K,K) ready, then tell Python. */
+        if (t != NULL) {
+            k->tabs[sn] = NULL;
+            k->live--;
+            PyMem_Free(t);
+        }
+        if (mark_ready(k, 2 * k->ntot + sn) < 0)
+            return -1;
+        PyObject *r = PyObject_CallNoArgs(k->retire);
+        Py_XDECREF(r);
+        return r ? 0 : -1;
+    }
+    if (t == NULL)
+        return 0;
+    switch (e->cid) {
+    case OP_START:
+        return bcast_deliver(k, t, 0, 0);
+    case OP_NORM: /* cross-send Lhat(I,K) to the col-bcast root */
+        return send_point(k, (t->snode[x] % pr) * pc + sn % pc,
+                          (sn % pr) * pc + t->snode[x] % pc, t->xbytes[x],
+                          k->cat[C_CS], NULL, target(1 + x, 0), sn);
+    case OP_GEMM:
+        return --t->gl[x] ? 0
+                          : reduce_count(k, t, 1 + t->nb + x / t->nu,
+                                         t->gpos[x]);
+    case OP_DIAG:
+        return --t->dl[x] ? 0 : reduce_count(k, t, 2 * t->nb + 1, t->dpos[x]);
+    }
+    return 0; /* OP_BASE */
+}
+
+/* Drop the protocol state (tables, readiness, waiters). */
+static void
+clear_protocol(Kernel *k)
+{
+    for (int i = 0; k->tabs && i < k->nsup; i++)
+        PyMem_Free(k->tabs[i]);
+    void **bufs[] = {(void **)&k->width, (void **)&k->blkptr,
+                     (void **)&k->blksn, (void **)&k->blknr,
+                     (void **)&k->ready, (void **)&k->wq, (void **)&k->wpool,
+                     (void **)&k->tabs, (void **)&k->posmap};
+    for (size_t i = 0; i < sizeof bufs / sizeof bufs[0]; i++) {
+        PyMem_Free(*bufs[i]);
+        *bufs[i] = NULL;
+    }
+    k->pr = k->live = k->wcap = 0;
+    k->wfree = -1;
+    Py_CLEAR(k->retire);
 }
 
 /* -- argument helpers ---------------------------------------------------- */
@@ -523,6 +830,34 @@ nargs_check(const char *name, Py_ssize_t n, Py_ssize_t lo, Py_ssize_t hi)
     return 0;
 }
 
+/* Copy the n integers of sequence o, each in [lo, hi], into i32 (or i64
+ * when i32 is NULL). */
+static int
+seq_copy(PyObject *o, Py_ssize_t n, int *i32, long long *i64, long long lo,
+         long long hi, const char *what)
+{
+    PyObject *f = PySequence_Fast(o, what);
+    if (f == NULL)
+        return -1;
+    Py_ssize_t i = 0, m = PySequence_Fast_GET_SIZE(f);
+    for (; m == n && i < n; i++) {
+        long long v = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(f, i));
+        if ((v == -1 && PyErr_Occurred()) || v < lo || v > hi)
+            break;
+        if (i32)
+            i32[i] = (int)v;
+        else
+            i64[i] = v;
+    }
+    Py_DECREF(f);
+    if (m == n && i == n)
+        return 0;
+    if (!PyErr_Occurred())
+        PyErr_Format(PyExc_ValueError, "%s: expected %zd integers in [%lld, %lld]",
+                     what, n, lo, hi);
+    return -1;
+}
+
 /* -- type slots ---------------------------------------------------------- */
 
 static PyObject *
@@ -545,6 +880,7 @@ Kernel_traverse(Kernel *k, visitproc visit, void *arg)
     Py_VISIT(k->table);
     Py_VISIT(k->pair_params);
     Py_VISIT(k->binder);
+    Py_VISIT(k->retire);
     for (int i = 0; i < NCLOCKS; i++)
         Py_VISIT(k->clk_o[i]);
     for (Py_ssize_t i = 0; i < k->ncols; i++) {
@@ -563,6 +899,7 @@ static int
 Kernel_clear(Kernel *k)
 {
     clear_events(k);
+    clear_protocol(k);
     Py_CLEAR(k->table);
     Py_CLEAR(k->pair_params);
     Py_CLEAR(k->binder);
@@ -581,9 +918,10 @@ Kernel_clear(Kernel *k)
         Py_XDECREF(cols[i].recv_o);
     }
     PyMem_Free(cols);
-    PyMem_Free(k->pairs);
-    k->pairs = NULL;
-    k->pcap = k->pcount = 0;
+    pairs_clear(&k->pm);
+    pairs_clear(&k->nodes);
+    PyMem_Free(k->node);
+    k->node = NULL;
     return 0;
 }
 
@@ -618,11 +956,11 @@ schedule_call(Kernel *k, double t, PyObject *const *args, Py_ssize_t nargs)
     Py_INCREF(fn);
     int rc;
     if (nargs == 2) {
-        rc = push(k, t, HID_CALL0, fn, NULL, 0, 0, 0, 0);
+        rc = push(k, t, HID_CALL0, fn, NULL, 0, 0, 0, 0, 0);
     }
     else {
         Py_INCREF(args[2]);
-        rc = push(k, t, HID_CALL1, fn, args[2], 0, 0, 0, 0);
+        rc = push(k, t, HID_CALL1, fn, args[2], 0, 0, 0, 0, 0);
     }
     if (rc < 0)
         return NULL;
@@ -675,7 +1013,7 @@ Kernel_schedule_msg(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
         Py_INCREF(b);
     }
     Py_INCREF(a);
-    if (push(k, t, hid, a, b, 0, 0, 0, 0) < 0)
+    if (push(k, t, hid, a, b, 0, 0, 0, 0, 0) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -713,16 +1051,21 @@ dispatch(Kernel *k, Event *e)
     else if (hid == HID_RECV_PT) {
         double out[4];
         if (receive(k, e->dst, e->nbytes, e->cid, -1.0, out) < 0) {
-            Py_DECREF(e->obj);
+            Py_XDECREF(e->obj);
             return -1;
         }
         /* The delivery event inherits the callback reference. */
         return push(k, out[3], HID_DELIV_PT, e->obj, NULL, e->dst, e->cid,
-                    e->nbytes, e->aux);
+                    e->nbytes, e->aux, e->sn);
+    }
+    else if (hid == HID_PROTO) {
+        return proto_op(k, e);
     }
     else if (hid == HID_DELIV_PT) {
         if (k->deliver_oh > 0.0)
             occupy(k, e->dst, k->deliver_oh);
+        if (e->obj == NULL)
+            return proto_deliver(k, e->sn, e->aux);
         PyObject *argv[4];
         argv[1] = PyLong_FromLong(e->dst);
         argv[2] = Py_None;
@@ -800,9 +1143,9 @@ static PyObject *
 Kernel_clear_method(Kernel *k, PyObject *unused)
 {
     clear_events(k);
-    PyMem_Free(k->pairs);
-    k->pairs = NULL;
-    k->pcap = k->pcount = 0;
+    clear_protocol(k);
+    pairs_clear(&k->pm);
+    pairs_clear(&k->nodes);
     Py_RETURN_NONE;
 }
 
@@ -813,10 +1156,10 @@ Kernel_attach_machine(Kernel *k, PyObject *args)
 {
     int nranks;
     double c[5];
-    PyObject *pp, *binder, *clocks;
-    if (!PyArg_ParseTuple(args, "iddddd(OO)O!:attach_machine", &nranks, &c[0],
-                          &c[1], &c[2], &c[3], &c[4], &pp, &binder,
-                          &PyTuple_Type, &clocks))
+    PyObject *pp, *binder, *nodes, *clocks;
+    if (!PyArg_ParseTuple(args, "iddddd(OOO)O!:attach_machine", &nranks,
+                          &c[0], &c[1], &c[2], &c[3], &c[4], &pp, &binder,
+                          &nodes, &PyTuple_Type, &clocks))
         return NULL;
     if (k->nranks) {
         PyErr_SetString(PyExc_RuntimeError, "a machine is already attached");
@@ -833,6 +1176,14 @@ Kernel_attach_machine(Kernel *k, PyObject *args)
         if (ptr[i] == NULL)
             return NULL;
     }
+    int *node = PyMem_Malloc((size_t)nranks * sizeof(int));
+    if (node == NULL)
+        return PyErr_NoMemory();
+    if (seq_copy(nodes, nranks, node, NULL, 0, nranks - 1, "nodes") < 0) {
+        PyMem_Free(node);
+        return NULL;
+    }
+    k->node = node;
     for (int i = 0; i < NCLOCKS; i++) {
         k->clk[i] = ptr[i];
         k->clk_o[i] = Py_NewRef(PyTuple_GET_ITEM(clocks, i));
@@ -859,69 +1210,7 @@ Kernel_send_pt(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
         arg_ll(args[3], &nbytes) < 0 || arg_int(args[4], &cid) < 0 ||
         (nargs == 7 && arg_ll(args[6], &aux) < 0))
         return NULL;
-    if (send_point(k, src, dst, nbytes, cid, args[5], aux) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-/* send_batch(src, dsts, tag, nbytes, cid, cb, auxs): one send_pt per
- * destination, in order (the NIC injection chain is the scalar one). */
-static PyObject *
-Kernel_send_batch(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
-{
-    int src, cid;
-    long long nbytes;
-    if (nargs_check("send_batch", nargs, 7, 7) < 0 || need_machine(k) < 0 ||
-        arg_rank(k, args[0], &src) < 0 || arg_ll(args[3], &nbytes) < 0 ||
-        arg_int(args[4], &cid) < 0)
-        return NULL;
-    PyObject *dsts = PySequence_Fast(args[1], "dsts must be a sequence");
-    if (dsts == NULL)
-        return NULL;
-    PyObject *auxs = PySequence_Fast(args[6], "auxs must be a sequence");
-    if (auxs == NULL) {
-        Py_DECREF(dsts);
-        return NULL;
-    }
-    PyObject *ret = NULL;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(dsts);
-    if (PySequence_Fast_GET_SIZE(auxs) != n) {
-        PyErr_SetString(PyExc_ValueError, "dsts and auxs differ in length");
-        goto done;
-    }
-    for (Py_ssize_t x = 0; x < n; x++) {
-        int dst;
-        long long aux;
-        if (arg_rank(k, PySequence_Fast_GET_ITEM(dsts, x), &dst) < 0 ||
-            arg_ll(PySequence_Fast_GET_ITEM(auxs, x), &aux) < 0 ||
-            send_point(k, src, dst, nbytes, cid, args[5], aux) < 0)
-            goto done;
-    }
-    ret = Py_NewRef(Py_None);
-done:
-    Py_DECREF(dsts);
-    Py_DECREF(auxs);
-    return ret;
-}
-
-/* post_named(rank, seconds, hid, arg): occupy the CPU, then
- * table[hid](arg) (hid 0: arg()). */
-static PyObject *
-Kernel_post_named(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
-{
-    int rank, hid;
-    double seconds;
-    if (nargs_check("post_named", nargs, 4, 4) < 0 || need_machine(k) < 0 ||
-        arg_rank(k, args[0], &rank) < 0 || arg_double(args[1], &seconds) < 0 ||
-        arg_int(args[2], &hid) < 0)
-        return NULL;
-    if (hid < 0 || hid == HID_CALL1 || hid >= ntable(k)) {
-        PyErr_Format(PyExc_ValueError, "unknown handler id %d", hid);
-        return NULL;
-    }
-    double finish = occupy(k, rank, seconds) + seconds;
-    Py_INCREF(args[3]);
-    if (push(k, finish, hid, args[3], NULL, 0, 0, 0, 0) < 0)
+    if (send_point(k, src, dst, nbytes, cid, args[5], aux, 0) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -977,6 +1266,258 @@ Kernel_receive(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
     return Py_BuildValue("(dddd)", out[0], out[1], out[2], out[3]);
 }
 
+/* -- protocol methods ---------------------------------------------------- */
+
+/* attach_protocol(pr, pc, cids, task_overhead, flop_rate, widths, blkptr,
+ * blksn, blknr, retire): the grid, the six category ids, the cost
+ * constants, the block CSR (snodes and row counts) of every supernode and
+ * the retirement callback retire(). */
+static PyObject *
+Kernel_attach_protocol(Kernel *k, PyObject *args)
+{
+    int pr, pc, *cat = k->cat;
+    double task_oh, rate;
+    PyObject *l[4], *retire;
+    if (!PyArg_ParseTuple(args, "ii(iiiiii)ddOOOOO:attach_protocol", &pr, &pc,
+                          &cat[0], &cat[1], &cat[2], &cat[3], &cat[4], &cat[5],
+                          &task_oh, &rate, &l[0], &l[1], &l[2], &l[3],
+                          &retire) ||
+        need_machine(k) < 0)
+        return NULL;
+    Py_ssize_t nsup = PySequence_Size(l[0]), ntot = PySequence_Size(l[2]);
+    if (nsup < 0 || ntot < 0)
+        return NULL;
+    if (k->pr || pr <= 0 || pc <= 0 || (long long)pr * pc != k->nranks ||
+        2 * ntot + nsup >= INT_MAX) {
+        PyErr_SetString(PyExc_ValueError, "protocol already attached, or the "
+                                          "grid does not match the machine");
+        return NULL;
+    }
+    Py_ssize_t nrid = 2 * ntot + nsup, n[] = {nsup, nsup + 1, ntot, ntot};
+    long long hi[] = {INT_MAX, ntot, nsup - 1, INT_MAX};
+    int **dst[] = {&k->width, &k->blkptr, &k->blksn, &k->blknr};
+    k->pr = pr; /* from here on clear_protocol undoes a partial attach */
+    k->pc = pc;
+    k->nsup = (int)nsup;
+    k->ntot = (int)ntot;
+    k->task_oh = task_oh;
+    k->rate = rate;
+    k->wfree = -1;
+    k->retire = Py_NewRef(retire);
+    k->ready = PyMem_Calloc((size_t)nrid + 1, 1);
+    k->tabs = PyMem_Calloc((size_t)nsup + 1, sizeof(Table *));
+    k->wq = PyMem_Malloc(2 * ((size_t)nrid + 1) * sizeof(int));
+    k->posmap = PyMem_Malloc((size_t)k->nranks * sizeof(int));
+    if (!k->ready || !k->tabs || !k->wq || !k->posmap) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    memset(k->wq, 0xff, 2 * ((size_t)nrid + 1) * sizeof(int));
+    memset(k->posmap, 0xff, (size_t)k->nranks * sizeof(int));
+    for (int i = 0; i < 4; i++) {
+        *dst[i] = PyMem_Malloc((size_t)(n[i] + 1) * sizeof(int));
+        if (*dst[i] == NULL ? (PyErr_NoMemory(), 1)
+                            : seq_copy(l[i], n[i], *dst[i], NULL, 0, hi[i],
+                                       "attach_protocol") < 0)
+            goto fail;
+    }
+    /* Each supernode's blocks: strictly ascending, below its diagonal. */
+    int ok = k->blkptr[0] == 0 && k->blkptr[nsup] == ntot;
+    for (int s = 0; ok && s < nsup; s++) {
+        ok = k->blkptr[s] <= k->blkptr[s + 1];
+        for (int b = k->blkptr[s]; ok && b < k->blkptr[s + 1]; b++)
+            ok = k->blksn[b] > (b == k->blkptr[s] ? s : k->blksn[b - 1]);
+    }
+    if (ok)
+        Py_RETURN_NONE;
+    PyErr_SetString(PyExc_ValueError, "malformed block CSR");
+fail:
+    clear_protocol(k);
+    return NULL;
+}
+
+/* load(k, sizes, ranks, parents, nbytes, xbytes): supernode k enters the
+ * window.  sizes/nbytes per collective; ranks/parents per tree position
+ * (construction order: root first with parent -1, parents before their
+ * children); xbytes per block, the cross-sends then the cross-backs (all
+ * empty for a block-free k). */
+static PyObject *
+Kernel_load(Kernel *k, PyObject *args)
+{
+    int sn;
+    PyObject *sizes, *ranks, *pars, *bytes, *xbytes;
+    if (!PyArg_ParseTuple(args, "iOOOOO:load", &sn, &sizes, &ranks, &pars,
+                          &bytes, &xbytes))
+        return NULL;
+    if (k->pr == 0) {
+        PyErr_SetString(PyExc_RuntimeError, "no protocol attached to the kernel");
+        return NULL;
+    }
+    if (sn < 0 || sn >= k->nsup || k->tabs[sn]) {
+        PyErr_Format(PyExc_ValueError, "cannot load supernode %d", sn);
+        return NULL;
+    }
+    Py_ssize_t npos = PySequence_Size(ranks);
+    if (npos < 0)
+        return NULL;
+    int pr = k->pr, pc = k->pc, *scr = k->posmap;
+    int nb = k->blkptr[sn + 1] - k->blkptr[sn], ncoll = 2 * nb + 2;
+    long long s2 = (long long)k->width[sn] * k->width[sn];
+    double oh = k->task_oh, rate = k->rate, s = k->width[sn];
+    if (nb == 0) { /* no blocks: only the diagonal block's inversion */
+        if (post_op(k, (sn % pr) * pc + sn % pc,
+                    oh + (double)(s2 * k->width[sn]) / rate, OP_FINISH, sn,
+                    0) < 0)
+            return NULL;
+        Py_RETURN_NONE;
+    }
+    int nu = nb < pc ? nb : pc; /* bound on the distinct grid columns */
+    Py_ssize_t len[] = {pr, pc, nb + 1, nb, ncoll + 1, npos, npos, npos + 1,
+                        npos, npos, (Py_ssize_t)nb * nu, (Py_ssize_t)nb * nu,
+                        nb, nb};
+    size_t ni = 0, head = (sizeof(Table) + 7) / 8 * 8;
+    for (int i = 0; i < 14; i++)
+        ni += len[i];
+    Table *t = PyMem_Calloc(1, head + 8 * (2 * (size_t)ncoll + 2 * nb) +
+                                   sizeof(int) * ni);
+    if (t == NULL)
+        return PyErr_NoMemory();
+    const int *snode = t->snode = k->blksn + k->blkptr[sn];
+    t->k = sn;
+    t->s = k->width[sn];
+    t->nb = nb;
+    t->nrows = k->blknr + k->blkptr[sn];
+    t->cbytes = (long long *)((char *)t + head);
+    t->xbytes = t->cbytes + ncoll;
+    t->norm = (double *)(t->xbytes + 2 * nb);
+    t->dc = t->norm + nb;
+    int *p = (int *)(t->dc + nb);
+    int **carve[] = {&t->rowslot, &t->colslot, &t->gptr, &t->gidx, &t->cbase,
+                     &t->rank, &t->par, &t->kptr, &t->kid, &t->pend,
+                     &t->gl, &t->gpos, &t->dl, &t->dpos};
+    for (int i = 0; i < 14; i++) {
+        *carve[i] = p;
+        p += len[i];
+    }
+    int *cb = t->cbase, *par = t->par, *pend = t->pend;
+    if (seq_copy(sizes, ncoll, cb + 1, NULL, 1, npos, "sizes") < 0 ||
+        seq_copy(ranks, npos, t->rank, NULL, 0, k->nranks - 1, "ranks") < 0 ||
+        seq_copy(pars, npos, par, NULL, -1, npos, "parents") < 0 ||
+        seq_copy(bytes, ncoll, NULL, t->cbytes, 0, LLONG_MAX, "nbytes") < 0 ||
+        seq_copy(xbytes, 2 * nb, NULL, t->xbytes, 0, LLONG_MAX, "xbytes") < 0)
+        goto fail;
+    /* Tree offsets, then the CSR children in ascending position (pend
+     * is the fill cursor) and the child counts. */
+    int ok = 1;
+    for (int c = 0; c < ncoll; c++)
+        ok = ok && (cb[c + 1] += cb[c]) <= npos;
+    for (int c = 0; ok && c < ncoll; c++) {
+        int B = cb[c], n = cb[c + 1] - B;
+        ok = par[B] == -1;
+        for (int y = 1; ok && y < n; y++)
+            if ((ok = par[B + y] >= 0 && par[B + y] < y))
+                t->kptr[B + par[B + y] + 1]++;
+    }
+    ok = ok && cb[ncoll] == npos;
+    if (!ok) {
+        PyErr_SetString(PyExc_ValueError, "malformed collective trees");
+        goto fail;
+    }
+    for (Py_ssize_t i = 0; i < npos; i++) {
+        t->kptr[i + 1] += t->kptr[i];
+        pend[i] = t->kptr[i];
+    }
+    for (int c = 0; c < ncoll; c++)
+        for (int y = 1; y < cb[c + 1] - cb[c]; y++)
+            t->kid[pend[cb[c] + par[cb[c] + y]]++] = y;
+    for (Py_ssize_t i = 0; i < npos; i++)
+        pend[i] = t->kptr[i + 1] - t->kptr[i];
+    /* Row groups and column slots in block order; per-block durations in
+     * Network.compute_time's expression, term for term. */
+    memset(t->rowslot, 0xff, (size_t)(pr + pc) * sizeof(int));
+    int *cnt = t->dpos, *cur = t->gpos; /* scratch until filled below */
+    for (int x = 0; x < nb; x++) {
+        int *rs = &t->rowslot[snode[x] % pr], *cs = &t->colslot[snode[x] % pc];
+        if (*rs < 0)
+            *rs = t->ng++;
+        if (*cs < 0)
+            cnt[*cs = t->nu++] = 0;
+        t->gptr[*rs + 1]++;
+        cnt[*cs]++;
+        t->norm[x] = oh + (double)(s2 * t->nrows[x]) / rate;
+        t->dc[x] = oh + (((2.0 * s) * t->nrows[x]) * s) / rate;
+    }
+    t->base = oh + (double)(s2 * t->s) / rate;
+    t->finish = oh + (double)s2 / rate;
+    nu = t->nu;
+    for (int g = 0; g < t->ng; g++) {
+        cur[g] = t->gptr[g + 1] += t->gptr[g];
+        t->dl[g] = t->gptr[g + 1] - t->gptr[g];
+    }
+    for (int x = nb - 1; x >= 0; x--) {
+        t->gidx[--cur[t->rowslot[snode[x] % pr]]] = x;
+        for (int u = 0; u < nu; u++)
+            t->gl[x * nu + u] = cnt[u];
+    }
+    /* Contributor positions: row-reduce x has one input per column
+     * slot, the col-reduce one per row group (its L(J,K) owner). */
+    for (int c = 1 + nb; c < ncoll; c++) {
+        int B = cb[c], n = cb[c + 1] - B, x = c - 1 - nb;
+        for (int y = 0; y < n; y++)
+            scr[t->rank[B + y]] = y;
+        for (int i = 0; i < (x < nb ? pc : pr); i++) {
+            int slot = x < nb ? t->colslot[i] : t->rowslot[i], *pos;
+            if (slot < 0)
+                continue;
+            pos = x < nb ? &t->gpos[x * nu + slot] : &t->dpos[slot];
+            *pos = scr[x < nb ? (snode[x] % pr) * pc + i : i * pc + sn % pc];
+            ok = ok && *pos >= 0;
+            pend[B + (*pos >= 0 ? *pos : 0)]++;
+        }
+        for (int y = 0; y < n; y++)
+            scr[t->rank[B + y]] = -1;
+    }
+    if (!ok) {
+        PyErr_SetString(PyExc_ValueError, "a contributor is not in its tree");
+        goto fail;
+    }
+    k->tabs[sn] = t;
+    k->live++;
+    /* Degenerate relays (no children, no input) fire now, in ascending
+     * position, row-reduces before the col-reduce; then the diag-bcast
+     * starts. */
+    for (int c = 1 + nb; c < ncoll; c++)
+        for (int y = 0; y < cb[c + 1] - cb[c]; y++)
+            if (pend[cb[c] + y] == 0 && reduce_finish(k, t, c, y) < 0)
+                return NULL;
+    if (push(k, k->now, HID_PROTO, NULL, NULL, t->rank[0], OP_START, 0, 0,
+             sn) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+fail:
+    PyMem_Free(t);
+    return NULL;
+}
+
+/* deliver(k, c, y): deliver a protocol message to position y of
+ * collective c of supernode k now (the point route's delivery stage);
+ * a supernode without tables (retired, or not loaded) ignores it. */
+static PyObject *
+Kernel_deliver(Kernel *k, PyObject *args)
+{
+    int sn, c, y;
+    if (!PyArg_ParseTuple(args, "iii:deliver", &sn, &c, &y))
+        return NULL;
+    Table *t = k->pr && sn >= 0 && sn < k->nsup ? k->tabs[sn] : NULL;
+    if (t && (c < 0 || c > 2 * t->nb + 1 || y < 0 ||
+              y >= t->cbase[c + 1] - t->cbase[c]))
+        return PyErr_Format(PyExc_IndexError, "no position %d in collective %d",
+                            y, c);
+    if (t && proto_deliver(k, sn, target(c, y)) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef Kernel_methods[] = {
     {"schedule", (PyCFunction)(void (*)(void))Kernel_schedule, METH_FASTCALL,
      "schedule(delay, fn[, arg]): run fn() (or fn(arg)) at now + delay."},
@@ -996,15 +1537,9 @@ static PyMethodDef Kernel_methods[] = {
      "Drop every pending event and the pair map."},
     {"attach_machine", (PyCFunction)Kernel_attach_machine, METH_VARARGS,
      "attach_machine(nranks, inj_oh, inj_ibw, ej_ibw, recv_oh, deliver_oh, "
-     "(pair_params, binder), clocks)"},
+     "(pair_params, binder, nodes), clocks)"},
     {"send_pt", (PyCFunction)(void (*)(void))Kernel_send_pt, METH_FASTCALL,
      "send_pt(src, dst, tag, nbytes, cid, cb, aux=0): point-route send."},
-    {"send_batch", (PyCFunction)(void (*)(void))Kernel_send_batch,
-     METH_FASTCALL,
-     "send_batch(src, dsts, tag, nbytes, cid, cb, auxs): one rank's fan-out."},
-    {"post_named", (PyCFunction)(void (*)(void))Kernel_post_named,
-     METH_FASTCALL,
-     "post_named(rank, seconds, hid, arg): compute, then table[hid](arg)."},
     {"compute", (PyCFunction)(void (*)(void))Kernel_compute, METH_FASTCALL,
      "compute(rank, seconds) -> start: occupy rank's CPU."},
     {"transmit", (PyCFunction)(void (*)(void))Kernel_transmit, METH_FASTCALL,
@@ -1013,6 +1548,15 @@ static PyMethodDef Kernel_methods[] = {
     {"receive", (PyCFunction)(void (*)(void))Kernel_receive, METH_FASTCALL,
      "receive(dst, nbytes, cid[, eject]) -> (nic_start, nic_done, start, "
      "deliver_at)"},
+    {"attach_protocol", (PyCFunction)Kernel_attach_protocol, METH_VARARGS,
+     "attach_protocol(pr, pc, cids, task_overhead, flop_rate, widths, "
+     "blkptr, blksn, blknr, retire): run the symbolic PSelInv protocol."},
+    {"load", (PyCFunction)Kernel_load, METH_VARARGS,
+     "load(k, sizes, ranks, parents, nbytes, xbytes): supernode k enters "
+     "the window."},
+    {"deliver", (PyCFunction)Kernel_deliver, METH_VARARGS,
+     "deliver(k, c, y): deliver a protocol message to position y of "
+     "collective c of supernode k now."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1034,12 +1578,20 @@ Kernel_get_depth_hw(Kernel *k, void *unused)
     return PyLong_FromSsize_t(k->depth_hw);
 }
 
+static PyObject *
+Kernel_get_live(Kernel *k, void *unused)
+{
+    return PyLong_FromLong(k->live);
+}
+
 static PyGetSetDef Kernel_getset[] = {
     {"now", (getter)Kernel_get_now, NULL, "The virtual clock.", NULL},
     {"events_processed", (getter)Kernel_get_processed, NULL,
      "Number of events executed so far.", NULL},
     {"depth_high_water", (getter)Kernel_get_depth_hw, NULL,
      "Largest queue length seen by the last run().", NULL},
+    {"live_tables", (getter)Kernel_get_live, NULL,
+     "Number of supernodes whose protocol tables are loaded.", NULL},
     {NULL, NULL, NULL, NULL, NULL},
 };
 

@@ -6,7 +6,9 @@ shared object is cached in this package's ``__pycache__`` under a name
 keyed by a hash of the source, the compile flags and the interpreter's
 extension suffix, so an edit, a flag change or another Python version
 builds a fresh copy.  The build writes a temporary file and renames it
-into place, so concurrent imports never load a half-written object.
+into place, so concurrent imports never load a half-written object, and
+then deletes the builds it supersedes: other ``_kernel-*`` objects with
+the same extension suffix (another Python version's builds stay).
 
 If the kernel cannot be built (no compiler, no Python headers, a compile
 error), :data:`kernel` is ``None`` and :data:`error` says why; the
@@ -32,12 +34,14 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-fPIC", "-shared")
 
 
+SUFFIX = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+
+
 def _target() -> Path:
-    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
     h = hashlib.sha256(SOURCE.read_bytes())
     h.update(" ".join(FLAGS).encode())
-    h.update(suffix.encode())
-    return SOURCE.parent / "__pycache__" / f"_kernel-{h.hexdigest()[:16]}{suffix}"
+    h.update(SUFFIX.encode())
+    return SOURCE.parent / "__pycache__" / f"_kernel-{h.hexdigest()[:16]}{SUFFIX}"
 
 
 def _build(target: Path) -> None:
@@ -55,6 +59,9 @@ def _build(target: Path) -> None:
         os.replace(tmp, target)
     finally:
         tmp.unlink(missing_ok=True)
+    for stale in target.parent.glob(f"_kernel-*{SUFFIX}"):
+        if stale != target:
+            stale.unlink(missing_ok=True)
 
 
 def load() -> ModuleType:

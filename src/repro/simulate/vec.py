@@ -15,17 +15,12 @@ The default execution engine (``engine="vectorized"``).  The heapq
   in place.
 * :class:`VecMachine` -- the machine on that kernel.  Its resource
   clocks and per-pair network parameters live in the kernel, and so
-  does the *point route* used by the compiled collectives and the
-  vectorized protocol layer (:mod:`repro.comm.vec_collectives`):
-
-  - :meth:`~VecMachine.send_pt` -- a send for payload-less collective
-    traffic; the receive stage runs in C and only the delivery
-    ``cb(dst, None, aux)`` calls back into Python;
-  - :meth:`~VecMachine.send_batch` -- one rank's whole fan-out in one
-    call;
-  - :meth:`~VecMachine.post_named` -- a closure-free
-    :meth:`Machine.post_compute`: the completion is a pre-registered
-    handler id plus argument with a precomputed duration.
+  does the *point route* for payload-less traffic: a send whose receive
+  stage runs in C.  Symbolic PSelInv runs the whole protocol on it
+  inside the kernel (:meth:`SimulatedPSelInv._load_native
+  <repro.core.pselinv.SimulatedPSelInv._load_native>` hands it each
+  supernode's tables); ``send_pt`` exposes the route with a Python
+  delivery callback.
 
   Messages with payloads, and every message when a hook is attached
   (telemetry recorder, trace log, instrumented network), take the
@@ -206,11 +201,13 @@ class VecMachine(Machine):
       so the stats dicts gain keys in the legacy machine's order).
     * **Pair map** -- one open-addressing map from ``src * n + dst`` to
       ``(latency, 1/bandwidth, jitter, channel FIFO clock)``, filled
-      from :meth:`Network.pair_params` on a miss (see there for the
+      from :meth:`Network.pair_params` once per *node* pair (the
+      parameters depend only on the two nodes; see there for the
       bit-identity argument).
-    * **Point route** -- when no hook is attached, :meth:`send_pt` and
-      :meth:`send_batch` are the kernel's: the receive stage runs in C
-      and the delivery calls ``cb(dst, None, aux)``.  A per-delivery
+    * **Point route** -- the kernel's payload-less sends: the receive
+      stage runs in C and the delivery runs the kernel's protocol or,
+      through ``send_pt`` (bound only when no hook is attached), calls
+      ``cb(dst, None, aux)``.  A per-delivery
       CPU tax (``deliver_cpu_overhead``, the protocol layer's
       ``per_message_cpu_overhead``) is charged there too.
     * **Generic route** -- :meth:`send` carries a payload and an
@@ -219,8 +216,7 @@ class VecMachine(Machine):
       hooks and call the kernel (``transmit``/``receive``/``compute``)
       for clocks and stats.  Messages without a callback go to the
       rank's fast handler ``fn(tag, payload, aux)`` or the legacy
-      ``fn(msg)`` handler.  With a hook attached, the point route falls
-      back to this one.
+      ``fn(msg)`` handler.
     """
 
     _stats_cls = VecCommStats
@@ -262,7 +258,7 @@ class VecMachine(Machine):
             network._ej_ibw,
             self._recv_overhead,
             self._deliver_oh,
-            (network.pair_params, self._bind_columns),
+            (network.pair_params, self._bind_columns, network.node_of.tolist()),
             (
                 self._nic_free,
                 self._nic_in_free,
@@ -275,10 +271,8 @@ class VecMachine(Machine):
         )
         self._hid_receive = k.register_handler(self._receive_rec)
         self._hid_deliver = k.register_handler(self._deliver_rec)
-        self.post_named = k.post_named
         if self._rec is None and self._event_log is None and self._inline_net:
             self.send_pt = k.send_pt
-            self.send_batch = k.send_batch
 
     def _init_resources(self, nranks: int) -> None:
         # Clocks as numpy columns for the kernel; the channel clocks
@@ -420,19 +414,6 @@ class VecMachine(Machine):
             raise RuntimeError(f"no handler installed on rank {dst}")
         fn(self._message_view(rec))
 
-    def send_pt(self, src, dst, tag, nbytes, cid, cb, aux=0) -> None:
-        """Point send for payload-less collective traffic (generic
-        fallback: the record route, which feeds the hooks).  Without
-        hooks this is the kernel's native ``send_pt``."""
-        self.send(src, dst, tag, nbytes, cid, None, cb, aux)
-
-    def send_batch(self, src, dsts, tag, nbytes, cid, cb, auxs) -> None:
-        """Emit one rank's fan-out (generic fallback: one
-        :meth:`send_pt` per child, in order)."""
-        send = self.send_pt
-        for dst, aux in zip(dsts, auxs):
-            send(src, dst, tag, nbytes, cid, cb, aux)
-
     def post_compute(
         self,
         rank: int,
@@ -448,14 +429,9 @@ class VecMachine(Machine):
         if seconds < 0:
             raise ValueError("negative compute time")
         k = self.sim
-        if self._rec is None:
-            if fn is None:
-                k.compute(rank, seconds)
-            else:
-                k.post_named(rank, seconds, 0, fn)
-            return
         start = k.compute(rank, seconds)
         finish = start + seconds
-        self._rec.record_compute(rank, start, finish, label)
+        if self._rec is not None:
+            self._rec.record_compute(rank, start, finish, label)
         if fn is not None:
             k.schedule_msg(finish, 0, fn)

@@ -2,13 +2,14 @@
 and one default engine.
 
 A drain creates no reference cycles -- everything a retired supernode
-owned is freed by refcounting -- which is what lets ``Machine.run``
-pause the cyclic collector for the drain without leaking.  These tests
-pin both halves of that contract on every engine (and on numeric runs,
-which take the generic protocol), the release of per-run buffers once a
-simulation is over -- a closed machine's kernel holds no pending event
-arguments, and the kernel is visible to the collector -- and the single
-default engine every entry point agrees on.
+owned is freed when it retires (the kernel's protocol tables) or by
+refcounting -- which is what lets ``Machine.run`` pause the cyclic
+collector for the drain without leaking.  These tests pin both halves of
+that contract on every engine (and on numeric runs, which take the
+generic protocol), the release of per-run buffers once a simulation is
+over -- a closed machine's kernel holds no pending event arguments and
+no protocol tables, and the kernel is visible to the collector -- and
+the single default engine every entry point agrees on.
 """
 
 import argparse
@@ -32,8 +33,6 @@ from repro.simulate import (
 from repro.sparse import analyze, factorize
 from repro.workloads import make_workload
 
-COMPILED_TABLES = ("rr_info", "norm_vec", "bcast_gemms", "gemms_left", "diag_left")
-
 # Each engine, plus "generic": the default engine serving a numeric run,
 # which takes the array-collective protocol instead of the compiled one,
 # and "legacy-numeric": the legacy engine serving a numeric run.
@@ -54,7 +53,7 @@ def _simulation(problem, run, grid):
         problem.struct, ProcessorGrid(*grid), "shifted", engine=engine,
         factor=factor,
     )
-    assert sim._vec == (run == DEFAULT_ENGINE)
+    assert sim._native == (run == DEFAULT_ENGINE)
     return sim
 
 
@@ -84,38 +83,83 @@ def test_run_leaves_no_cyclic_garbage(problem, run):
     assert unreachable == 0
 
 
+class _Watched(SimulatedPSelInv):
+    """Calls ``on_retire(sim)`` at every retirement, before the window
+    moves on (the kernel's one call back into Python)."""
+
+    on_retire = None
+
+    def _supernode_finished(self) -> None:
+        self.on_retire(self)
+        super()._supernode_finished()
+
+
 def test_compiled_tables_live_only_inside_the_window(problem):
+    """The kernel's live supernode tables peak at ``lookahead`` and a
+    supernode's tables are gone by the time it retires."""
     lookahead = 4
-    sim = SimulatedPSelInv(
+    sim = _Watched(
         problem.struct, ProcessorGrid(8, 8), "shifted", lookahead=lookahead
     )
-    setup = sim._setup_supernode_vec
+    kernel = sim.machine.sim
     peak = 0
+    retired = []
 
-    def counting_setup(plan):
+    def on_retire(s):
+        # The retiring supernode's tables are already freed.
+        assert kernel.live_tables < s._outstanding
+        retired.append(kernel.live_tables)
+
+    load = sim._load_native
+
+    def counting_load(plan):
         nonlocal peak
-        setup(plan)
-        live = sum(1 for st in sim.states if getattr(st, "rr_info", None))
-        peak = max(peak, live)
+        load(plan)
+        peak = max(peak, kernel.live_tables)
 
-    sim._setup_supernode_vec = counting_setup
+    sim._load_native = counting_load
+    sim.on_retire = on_retire
     sim.run()
     assert 0 < peak <= lookahead
-    for st in sim.states:
-        for name in COMPILED_TABLES:
-            assert not getattr(st, name), (st.plan.k, name)
+    assert len(retired) == problem.struct.nsup
+    assert kernel.live_tables == 0
 
 
 def test_late_colbcast_delivery_finds_an_empty_table(problem):
-    sim = SimulatedPSelInv(problem.struct, ProcessorGrid(8, 8), "shifted")
+    """A relay delivery for a retired supernode posts nothing."""
+    sim = _Watched(problem.struct, ProcessorGrid(8, 8), "shifted", lookahead=1)
+    kernel = sim.machine.sim
+    checked = []
+
+    def on_retire(s):
+        k = s._release_order[s._release_ptr - 1]  # the one outstanding
+        plan = s.plans[k]
+        if not plan.col_bcasts:
+            return
+        before = kernel.pending()
+        for c, spec in enumerate(plan.col_bcasts, start=1):
+            for y in range(spec.size):
+                kernel.deliver(k, c, y)
+        assert kernel.pending() == before  # no send, no GEMM
+        checked.append(k)
+
+    sim.on_retire = on_retire
     sim.run()
-    st = next(st for st in sim.states if st.plan.col_bcasts)
-    i = st.plan.col_bcasts[0].key[2]
-    assert sim.machine.sim.pending() == 0
-    for rank in range(sim.grid.size):
-        sim._on_colbcast_delivery_vec((st, [], i), rank, None)
-    assert not sim._vwaiters
-    assert sim.machine.sim.pending() == 0  # no GEMM was posted
+    assert checked
+
+
+def test_close_frees_the_protocol_tables(problem):
+    """A run stopped by its event budget leaves live tables; closing the
+    machine frees them (and the kernel's pending events)."""
+    sim = SimulatedPSelInv(problem.struct, ProcessorGrid(8, 8), "shifted")
+    with pytest.raises(RuntimeError, match="exceeded"):
+        sim.run(max_events=2000)
+    kernel = sim.machine.sim
+    assert kernel.live_tables > 0 and kernel.pending() > 0
+    sim.machine.close()
+    assert kernel.live_tables == 0 and kernel.pending() == 0
+    with pytest.raises(RuntimeError, match="no protocol attached"):
+        kernel.load(0, [], [], [], [], [])
 
 
 # -- the paused collector -------------------------------------------------------
@@ -185,7 +229,7 @@ def test_closed_machine_drops_pending_event_args():
     m = VecMachine(4, Network(4))
     hid = m.sim.register_handler(lambda arg: None)
     arg, fn_arg = _Arg(), _Arg()
-    m.post_named(1, 1e-6, hid, arg)
+    m.sim.schedule_msg(1e-6, hid, arg)
     m.sim.schedule(2e-6, lambda a: None, fn_arg)
     m.send_pt(0, 2, "t", 64, m.category_id("x"), lambda *a: None, 0)
     refs = [weakref.ref(arg), weakref.ref(fn_arg)]

@@ -7,7 +7,7 @@
   ``PATH``) the package falls back to the legacy engine with exactly one
   warning, and an explicit ``engine="vectorized"`` fails with a clear
   error instead of running something else.
-* The kernel's point route (``send_pt``/``send_batch`` with the receive
+* The kernel's point route (``send_pt`` with the receive
   stage in C, per-delivery CPU tax included) and its pair map (which
   also serves machines above the legacy dense-channel bound) reproduce
   the generic Python route and the legacy machine bit-for-bit.
@@ -15,6 +15,7 @@
 
 from __future__ import annotations
 
+import os
 import shutil
 import subprocess
 import sys
@@ -109,6 +110,45 @@ def test_fallback_without_a_compiler(tmp_path):
     assert not list((tmp_path / "repro" / "simulate").rglob("_kernel-*"))
 
 
+_PRUNE_SCRIPT = textwrap.dedent(
+    """
+    from repro.simulate import _native
+    print(_native.kernel is not None, _native._target().name)
+    """
+)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_build_prunes_stale_kernels(tmp_path):
+    """A fresh build deletes older builds for this interpreter and keeps
+    other Python versions' builds."""
+    shutil.copytree(
+        PACKAGE, tmp_path / "repro",
+        ignore=shutil.ignore_patterns("__pycache__", "*.so"),
+    )
+    cache = tmp_path / "repro" / "simulate" / "__pycache__"
+    cache.mkdir()
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    stale = cache / f"_kernel-0123456789abcdef{suffix}"
+    other = cache / "_kernel-0123456789abcdef.cpython-30-other.so"
+    stale.write_bytes(b"stale")
+    other.write_bytes(b"other")
+    proc = subprocess.run(
+        [sys.executable, "-c", _PRUNE_SCRIPT],
+        env={"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(tmp_path)},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, name = proc.stdout.split()
+    assert loaded == "True"
+    assert not stale.exists()
+    assert other.exists()
+    assert sorted(p.name for p in cache.glob(f"_kernel-*{suffix}")) == [name]
+
+
 # -- the kernel's machine routes ---------------------------------------------------
 
 # Two ranks per node and two nodes per group: all three distance
@@ -116,8 +156,8 @@ def test_fallback_without_a_compiler(tmp_path):
 _NET = dict(cores_per_node=2, nodes_per_group=2, jitter_sigma=0.3)
 
 
-def _traffic(m, send_pt, send_batch, got):
-    """A scripted point-route mix: fan-out batches, fan-in, self-sends,
+def _traffic(m, send_pt, got):
+    """A scripted point-route mix: fan-outs, fan-in, self-sends,
     repeated channels and sizes spanning the latency/bandwidth regimes."""
     n = m.nranks
 
@@ -126,8 +166,9 @@ def _traffic(m, send_pt, send_batch, got):
 
     cids = [m.category_id(c) for c in ("a", "b")]
     for i in range(5):
-        send_batch(i % n, [(i + d) % n for d in range(1, n)], ("b", i),
-                   64 << i, cids[i % 2], cb, list(range(100, 100 + n - 1)))
+        for d in range(1, n):
+            send_pt(i % n, (i + d) % n, ("b", i), 64 << i, cids[i % 2], cb,
+                    99 + d)
         for src in range(n):
             send_pt(src, (3 * i) % n, ("p", i, src), 4096 * (i + 1),
                     cids[(i + src) % 2], cb, src)
@@ -157,10 +198,16 @@ def test_point_route_matches_generic_route(overhead):
     for event_log in (None, []):
         m = VecMachine(8, Network(8, NetworkConfig(**_NET), jitter_seed=4),
                        event_log=event_log, deliver_cpu_overhead=overhead)
-        native = m.send_pt == m.sim.send_pt
-        assert native == (event_log is None)
+        native = event_log is None
+        assert hasattr(m, "send_pt") == native
+        if native:
+            assert m.send_pt == m.sim.send_pt
+            send_pt = m.send_pt
+        else:
+            def send_pt(src, dst, tag, nbytes, cid, cb, aux, m=m):
+                m.send(src, dst, tag, nbytes, cid, None, cb, aux)
         got: list = []
-        _traffic(m, m.send_pt, m.send_batch, got)
+        _traffic(m, send_pt, got)
         m.run()
         outs.append(_outcome(m, got))
     assert outs[0] == outs[1]
@@ -171,7 +218,7 @@ def test_point_route_matches_legacy_machine():
     net = NetworkConfig(**_NET)
     mv = VecMachine(8, Network(8, net, jitter_seed=4))
     got_v: list = []
-    _traffic(mv, mv.send_pt, mv.send_batch, got_v)
+    _traffic(mv, mv.send_pt, got_v)
     mv.run()
 
     ml = Machine(8, Network(8, net, jitter_seed=4))
@@ -183,12 +230,8 @@ def test_point_route_matches_legacy_machine():
     def send_pt(src, dst, tag, nbytes, cid, cb, aux):
         ml.post_send(src, dst, (tag, aux), nbytes, "ab"[cid])
 
-    def send_batch(src, dsts, tag, nbytes, cid, cb, auxs):
-        for dst, aux in zip(dsts, auxs):
-            send_pt(src, dst, tag, nbytes, cid, cb, aux)
-
     ml.category_id = mv.category_id
-    _traffic(ml, send_pt, send_batch, got_l)
+    _traffic(ml, send_pt, got_l)
     ml.run()
     assert _outcome(mv, got_v) == _outcome(ml, got_l)
 
@@ -222,13 +265,47 @@ def test_kernel_rejects_bad_arguments():
     with pytest.raises(IndexError, match="rank 4 out of range"):
         m.send_pt(0, 4, "t", 8, cid, print, 0)
     with pytest.raises(IndexError, match="rank -1 out of range"):
-        m.send_batch(-1, [1], "t", 8, cid, print, [0])
-    with pytest.raises(ValueError, match="differ in length"):
-        m.send_batch(0, [1, 2], "t", 8, cid, print, [0])
+        m.send_pt(-1, 1, "t", 8, cid, print, 0)
     with pytest.raises(ValueError, match="unknown handler id 99"):
-        m.post_named(0, 1e-6, 99, None)
+        m.sim.schedule_msg(1e-6, 99, None)
     with pytest.raises(RuntimeError, match="no machine attached"):
         VecSimulator().send_pt(0, 1, "t", 8, 0, print, 0)
     with pytest.raises(RuntimeError, match="already attached"):
         VecMachine(4, Network(4), sim=m.sim)
     assert m.sim.pending() == 0
+
+
+def test_protocol_rejects_malformed_tables():
+    """The protocol tables come from the planner; malformed ones are
+    refused with an error, never read out of bounds.  The fixture is a
+    2x2 grid with two supernodes; supernode 0 has one block (snode 1)."""
+    m = VecMachine(4, Network(4))
+    k = m.sim
+    head = (2, 2, (0, 1, 2, 3, 4, 5), 1e-7, 1e9)
+    with pytest.raises(ValueError, match="grid does not match"):
+        k.attach_protocol(1, 2, *head[2:], [1, 1], [0, 1, 1], [1], [2], print)
+    with pytest.raises(ValueError, match="malformed block CSR"):
+        k.attach_protocol(*head, [1, 1], [0, 1, 1], [0], [2], print)
+    with pytest.raises(ValueError, match="blksn|attach_protocol"):
+        k.attach_protocol(*head, [1, 1], [0, 1, 1], [5], [2], print)
+    k.attach_protocol(*head, [1, 1], [0, 1, 1], [1], [2], print)
+    with pytest.raises(ValueError, match="already attached"):
+        k.attach_protocol(*head, [1, 1], [0, 1, 1], [1], [2], print)
+    sizes, nbytes, xbytes = [2, 2, 2, 2], [8] * 4, [8, 8]
+    ranks = [0, 2, 1, 3, 2, 3, 0, 2]
+    parents = [-1, 0] * 4
+    with pytest.raises(ValueError, match="cannot load supernode 7"):
+        k.load(7, sizes, ranks, parents, nbytes, xbytes)
+    with pytest.raises(ValueError, match="ranks"):
+        k.load(0, sizes, [0, 9, *ranks[2:]], parents, nbytes, xbytes)
+    with pytest.raises(ValueError, match="malformed collective trees"):
+        k.load(0, sizes, ranks, [-1, 0, -1, 0, -1, 1, -1, 0], nbytes, xbytes)
+    with pytest.raises(ValueError, match="malformed collective trees"):
+        k.load(0, [3, 2, 2, 1], ranks, parents, nbytes, xbytes)
+    with pytest.raises(ValueError, match="contributor is not in its tree"):
+        k.load(0, sizes, [0, 2, 1, 3, 2, 1, 0, 2], parents, nbytes, xbytes)
+    assert k.live_tables == 0 and k.pending() == 0
+    k.load(0, sizes, ranks, parents, nbytes, xbytes)
+    assert k.live_tables == 1 and k.pending() == 1  # the diag-bcast start
+    with pytest.raises(IndexError, match="no position 2 in collective 1"):
+        k.deliver(0, 1, 2)

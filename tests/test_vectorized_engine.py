@@ -1,4 +1,4 @@
-"""Vectorized engine: compiled collectives, native kernel, bit-identity.
+"""Vectorized engine: native kernel and protocol, bit-identity.
 
 The vectorized engine's contract is the legacy engine's, verbatim: it
 is an optimization, never a behavior change.  Three layers pin it:
@@ -14,6 +14,8 @@ is an optimization, never a behavior change.  Three layers pin it:
 * **Column stats.**  :class:`VecCommStats` keeps numpy columns but the
   read-out views and totals match :class:`CommStats` exactly.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from repro.simulate import (
 )
 from repro.simulate.machine import Message
 from repro.sparse import analyze
-from repro.workloads import dg_hamiltonian
+from repro.workloads import dg_hamiltonian, make_workload
 
 ALL_SCHEMES = ("flat", "binary", "binomial", "shifted", "randperm", "hybrid")
 
@@ -128,6 +130,87 @@ def test_vectorized_with_per_message_overhead(problem):
                   jitter_sigma=0.1, lookahead=32, overhead=2e-7)
     assert (_outcome(problem, "vectorized", **kwargs)
             == _outcome(problem, "legacy", **kwargs))
+
+
+# ---------------------------------------------------------------------------
+# The kernel's native protocol (symbolic runs without hooks)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("overhead", [0.0, 2e-6])
+@pytest.mark.parametrize("lookahead", [1, 4, None])
+@pytest.mark.parametrize("grid", [(1, 8), (8, 1), (8, 8)])
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_native_route_matches_legacy(problem, scheme, grid, lookahead,
+                                     overhead):
+    kwargs = dict(scheme=scheme, grid=grid, seed=77, jitter_seed=5,
+                  jitter_sigma=0.3, lookahead=lookahead, overhead=overhead)
+    vec = _outcome(problem, "vectorized", **kwargs)
+    legacy = _outcome(problem, "legacy", **kwargs)
+    assert float(vec[0]).hex() == float(legacy[0]).hex()
+    assert vec == legacy
+
+
+def test_native_route_bounded_run_raises_like_legacy(problem):
+    """A ``max_events`` budget stops both engines at the same event with
+    the same error, clock and queue."""
+    seen = []
+    for engine in ("vectorized", "legacy"):
+        sim = SimulatedPSelInv(problem.struct, ProcessorGrid(4, 4), "shifted",
+                               lookahead=4, engine=engine)
+        assert sim._native == (engine == "vectorized")
+        with pytest.raises(RuntimeError, match="exceeded 1500 events") as exc:
+            sim.run(max_events=1500)
+        k = sim.machine.sim
+        seen.append((str(exc.value), k.events_processed, k.now,
+                     k.pending()))
+    assert seen[0] == seen[1]
+    assert seen[0][3] > 0  # stopped mid-run, queue intact
+
+
+def test_trace_log_run_takes_the_generic_route(problem):
+    """An ``event_log`` hook moves a symbolic run off the native route,
+    and the default engine's trace log is still the legacy one."""
+    logs = {}
+    for engine in ("legacy", "vectorized"):
+        log: list = []
+        sim = SimulatedPSelInv(
+            problem.struct, ProcessorGrid(8, 8), "binary", lookahead=4,
+            per_message_cpu_overhead=2e-6, event_log=log, engine=engine,
+        )
+        assert not sim._native
+        sim.run()
+        logs[engine] = log
+    assert logs["vectorized"] == logs["legacy"]
+    assert logs["legacy"]
+
+
+def test_native_route_makes_few_python_calls():
+    """The kernel runs the dataflow: during ``run()`` Python sees only
+    window entry and retirement, < 0.05 function calls per event on a
+    quick-tier run.  Trees come from a shared run-level cache (the
+    runner's sweep setting); the cold tree build is not counted."""
+    prob = analyze(make_workload("audikw_1", "small"))
+    cache: dict = {}
+    SimulatedPSelInv(prob.struct, ProcessorGrid(8, 8), "shifted",
+                     tree_cache=cache).run()
+    sim = SimulatedPSelInv(prob.struct, ProcessorGrid(8, 8), "shifted",
+                           tree_cache=cache)
+    assert sim._native
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        res = sim.run()
+    finally:
+        sys.setprofile(None)
+    assert res.events > 10_000
+    assert calls / res.events < 0.05, (calls, res.events)
 
 
 # ---------------------------------------------------------------------------
