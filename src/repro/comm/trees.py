@@ -364,48 +364,10 @@ _POSITION_SHAPES = {
 
 
 @lru_cache(maxsize=4096)
-def _children_csr(family: str, p: int) -> tuple[list[int], list[int]]:
-    """CSR adjacency (indptr, child positions) of one positional shape.
-
-    Plain Python lists: the array collectives index them per forwarded
-    message.  Children appear in ascending position, matching the
-    append order of the dict-based tree builders bit for bit.
-    """
-    kids, par = _POSITION_SHAPES[family](p)
-    counts = kids.tolist()
-    parents = par.tolist()
-    indptr = [0] * (p + 1)
-    for i in range(p):
-        indptr[i + 1] = indptr[i] + counts[i]
-    childpos = [0] * (p - 1 if p > 0 else 0)
-    cursor = indptr[:p]
-    for i in range(1, p):
-        pp = parents[i]
-        childpos[cursor[pp]] = i
-        cursor[pp] += 1
-    return indptr, childpos
-
-
-@lru_cache(maxsize=4096)
 def _parent_positions(family: str, p: int) -> list[int]:
     """Parent position per position (root -1) as a plain Python list."""
     _, par = _POSITION_SHAPES[family](p)
     return par.tolist()
-
-
-@lru_cache(maxsize=4096)
-def _shape_depth(family: str, p: int) -> int:
-    """Longest root-to-leaf path (edges) of one positional shape."""
-    _, par = _POSITION_SHAPES[family](p)
-    parents = par.tolist()
-    depths = [0] * p
-    best = 0
-    for i in range(1, p):
-        d = depths[parents[i]] + 1
-        depths[i] = d
-        if d > best:
-            best = d
-    return best
 
 
 @dataclass(frozen=True)
@@ -428,40 +390,12 @@ class TreeArrays:
     # per charged group and instances are shared through the cache.
     max_degree: int
     # Positional-shape family ("flat" / "binary" / "binomial"; the
-    # shifted and randperm schemes reuse the binary shape).  Keys the
-    # shared children-CSR and depth memos, so the array
-    # collectives never rebuild per-tree adjacency.
+    # shifted and randperm schemes reuse the binary shape).
     family: str = "binary"
 
     @property
     def size(self) -> int:
         return len(self.ranks)
-
-    def ranks_list(self) -> list[int]:
-        """The ranks as a plain Python list (scalar ndarray indexing is
-        several times slower on the collectives' hot path).  Lazily
-        materialized once per instance; the DES machines memoize one
-        instance per collective spec per run, so the list is built once
-        per distinct tree there."""
-        rl = getattr(self, "_rl", None)
-        if rl is None:
-            rl = [int(r) for r in self.ranks]
-            object.__setattr__(self, "_rl", rl)
-        return rl
-
-    def children_csr(self) -> tuple[list[int], list[int]]:
-        """``(indptr, child_positions)`` adjacency of the positional
-        shape, children in ascending construction-order position (the
-        exact forwarding order of the dict-based builders)."""
-        return _children_csr(self.family, self.size)
-
-    def parent_positions(self) -> list[int]:
-        """Parent position per position (root -1), shared per shape."""
-        return _parent_positions(self.family, self.size)
-
-    def depth(self) -> int:
-        """Longest root-to-leaf path length in edges."""
-        return _shape_depth(self.family, self.size)
 
     def to_comm_tree(self) -> CommTree:
         """Materialize the dict-based :class:`CommTree` view.
@@ -786,9 +720,10 @@ def _structure(
     """The cached structure for one collective shape (counted lookup).
 
     The one entry point into the shared cache: :func:`tree_arrays` (the
-    volume model and the generic protocol) and :func:`compiled_tree`
-    (the kernel's protocol) both resolve their trees here, so every
-    engine shares one set of entries and one set of hit/miss counters.
+    volume model, and the Python protocol through :func:`build_tree`)
+    and :func:`compiled_tree` (the kernel's protocol) both resolve their
+    trees here, so every engine shares one set of entries and one set
+    of hit/miss counters.
     """
     key = structure_tree_key(
         scheme, n_others, seed, hybrid_threshold=hybrid_threshold

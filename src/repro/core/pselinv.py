@@ -47,15 +47,18 @@ Two interchangeable execution engines (``engine=``, default
   it a supernode's trees (:class:`~repro.comm.trees.CompiledTree`) in
   one call, and Python hears back only when the supernode retires and
   its tables are freed (so they are bounded by the lookahead window).
-  Numeric, telemetry and trace-log runs take the generic
-  protocol on the same machine: array-based collectives
-  (:class:`~repro.comm.collectives.ArrayBroadcast` /
-  :class:`~repro.comm.collectives.ArrayReduce`) routed over positional
-  :class:`~repro.comm.trees.TreeArrays`.
+  Numeric, telemetry and trace-log runs run the Python protocol below
+  on the same machine, over its generic route.
 * ``"legacy"`` -- the original heapq :class:`Simulator` + per-message
-  :class:`Message` objects + dict-based collectives: the oracle.
+  :class:`Message` objects: the oracle.
 
-Both produce bit-identical results -- same event count, same final
+So the protocol has two copies: the closure handlers of this class over
+:class:`~repro.comm.collectives.TreeBroadcast` /
+:class:`~repro.comm.collectives.TreeReduce` (every legacy run, and every
+numeric, telemetry or trace-log run on either engine), and the
+table-driven one in the kernel.
+
+Both engines produce bit-identical results -- same event count, same final
 timestamps, same per-rank stats -- which the engine-equivalence tests,
 ``benchmarks/check_engine_identity.py`` and
 ``benchmarks/bench_runner_scaling.py`` assert; the vectorized engine is
@@ -71,8 +74,8 @@ from typing import Any
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ..comm.collectives import ArrayBroadcast, ArrayReduce, TreeBroadcast, TreeReduce
-from ..comm.trees import build_tree, compiled_tree, tree_arrays, tree_cache_info
+from ..comm.collectives import TreeBroadcast, TreeReduce
+from ..comm.trees import build_tree, compiled_tree, tree_cache_info
 from ..simulate import DEFAULT_ENGINE, check_engine
 from ..simulate.machine import CommStats, Machine, Message
 from ..simulate.vec import VecMachine
@@ -173,7 +176,6 @@ class SimulatedPSelInv:
         engine: str = DEFAULT_ENGINE,
     ) -> None:
         check_engine(engine)
-        self.engine = engine
         self.struct = struct
         self.grid = grid
         self.scheme = scheme
@@ -187,9 +189,6 @@ class SimulatedPSelInv:
         # releases everything at t=0 (an idealized, infinitely-buffered
         # runtime -- useful as an ablation).
         self.lookahead = lookahead
-        # Extra software overhead charged per delivered message; used to
-        # model the less-optimized v0.7.3 code path.
-        self.extra_msg_overhead = per_message_cpu_overhead
         net = Network(
             grid.size,
             network,
@@ -210,24 +209,18 @@ class SimulatedPSelInv:
                 net.instrument(metrics)
         # ``event_log`` (a caller-owned list) enables the machine's
         # structured trace hook; ``repro check`` replays it against the
-        # static happens-before model.
-        if engine == "vectorized":
-            self.machine: Machine = VecMachine(
-                grid.size,
-                net,
-                event_log=event_log,
-                recorder=recorder,
-                metrics=metrics,
-                deliver_cpu_overhead=per_message_cpu_overhead,
-            )
-        else:
-            self.machine = Machine(
-                grid.size,
-                net,
-                event_log=event_log,
-                recorder=recorder,
-                metrics=metrics,
-            )
+        # static happens-before model.  ``per_message_cpu_overhead`` is
+        # charged by the machine per delivered message (the
+        # less-optimized v0.7.3 code path).
+        machine_cls = VecMachine if engine == "vectorized" else Machine
+        self.machine: Machine = machine_cls(
+            grid.size,
+            net,
+            event_log=event_log,
+            recorder=recorder,
+            metrics=metrics,
+            deliver_cpu_overhead=per_message_cpu_overhead,
+        )
         if metrics is not None:
             self.machine.sim.attach_metrics(metrics)
         if plans is not None:
@@ -248,15 +241,15 @@ class SimulatedPSelInv:
         self.done_diag = 0
         self._ran = False
         # Trees depend on (scheme, seed, grid, struct, hybrid threshold)
-        # -- and on the engine, which determines the cached representation
-        # (CompiledTree, positional TreeArrays or dict CommTree); callers
-        # sweeping over jitter/placement seeds may share a cache across
-        # runs with identical configuration.  A guard key catches
-        # accidental reuse.
+        # only; callers sweeping over jitter/placement seeds may share a
+        # cache across runs with identical configuration, on either
+        # engine (the Python protocol keeps dict CommTrees under
+        # ``spec.key``, the kernel CompiledTrees under ``("v",
+        # spec.key)``).  A guard key catches accidental reuse.
         self._tree_cache = tree_cache if tree_cache is not None else {}
         guard = (
             "__config__", scheme, seed, grid.pr, grid.pc, struct.nsup,
-            hybrid_threshold, engine,
+            hybrid_threshold,
         )
         prior = self._tree_cache.setdefault("__guard__", guard)
         if prior != guard:
@@ -265,37 +258,27 @@ class SimulatedPSelInv:
                 f"{prior} vs {guard}"
             )
         # The kernel runs the protocol itself only for symbolic runs
-        # without hooks; numeric, telemetry and trace-log runs on the
-        # vectorized engine take the generic protocol on the same
-        # machine (identical outcomes).
+        # without hooks; every other run installs the Python protocol
+        # on either machine (identical outcomes).
         self._native = (
             engine == "vectorized" and not self.numeric
             and telemetry is None and event_log is None
         )
-        if engine == "legacy":
-            self._bcast_cls: Any = TreeBroadcast
-            self._reduce_cls: Any = TreeReduce
-            for r in range(grid.size):
-                self.machine.set_handler(r, self._make_handler(r))
-        elif self._native:
+        if self._native:
             self._init_native()
         else:
-            self._bcast_cls = ArrayBroadcast
-            self._reduce_cls = ArrayReduce
             for r in range(grid.size):
-                self.machine.set_fast_handler(r, self._make_fast_handler(r))
+                self.machine.set_handler(r, self._make_handler(r))
 
     # -- setup ------------------------------------------------------------
 
     def _tree(self, spec) -> Any:
-        """The spec's communication tree, in the engine's representation
-        (positional :class:`TreeArrays` for the generic protocol, dict
-        :class:`CommTree` for legacy), memoized per run/config."""
+        """The spec's :class:`~repro.comm.trees.CommTree`, memoized per
+        run/config."""
         key = spec.key
         tree = self._tree_cache.get(key)
         if tree is None:
-            build = build_tree if self.engine == "legacy" else tree_arrays
-            tree = build(
+            tree = build_tree(
                 self.scheme,
                 spec.root,
                 spec.participants,
@@ -317,7 +300,7 @@ class SimulatedPSelInv:
         k = plan.k
         if plan.diag_bcast is not None:
             spec = plan.diag_bcast
-            self.collectives[spec.key] = self._bcast_cls(
+            self.collectives[spec.key] = TreeBroadcast(
                 m,
                 self._tree(spec),
                 spec.key,
@@ -329,7 +312,7 @@ class SimulatedPSelInv:
             )
         for spec in plan.col_bcasts:
             i = spec.key[2]
-            self.collectives[spec.key] = self._bcast_cls(
+            self.collectives[spec.key] = TreeBroadcast(
                 m,
                 self._tree(spec),
                 spec.key,
@@ -346,7 +329,7 @@ class SimulatedPSelInv:
             contributors = {
                 jrow + (b.snode % pc) for b in plan.blocks
             }
-            self.collectives[spec.key] = self._reduce_cls(
+            self.collectives[spec.key] = TreeReduce(
                 m,
                 self._tree(spec),
                 spec.key,
@@ -363,7 +346,7 @@ class SimulatedPSelInv:
             contributors = {
                 (b.snode % self.grid.pr) * pc + kc for b in plan.blocks
             }
-            self.collectives[spec.key] = self._reduce_cls(
+            self.collectives[spec.key] = TreeReduce(
                 m,
                 self._tree(spec),
                 spec.key,
@@ -375,15 +358,9 @@ class SimulatedPSelInv:
 
     def _make_handler(self, rank: int):
         def handler(msg: Message) -> None:
-            if self.extra_msg_overhead > 0.0:
-                self.machine.post_compute(
-                    rank, self.extra_msg_overhead, label="msg-overhead"
-                )
             key = msg.tag
             kind = key[0]
-            if kind in ("db", "cb"):
-                self.collectives[key].on_message(msg)
-            elif kind in ("rr", "cr"):
+            if kind in ("db", "cb", "rr", "cr"):
                 self.collectives[key].on_message(msg)
             elif kind == "cs":
                 self._on_cross_send(key[1], key[2], msg.payload)
@@ -391,26 +368,6 @@ class SimulatedPSelInv:
                 self._on_cross_back(key[1], key[2], rank, msg.payload)
             else:  # pragma: no cover - protocol safety net
                 raise RuntimeError(f"unknown message tag {key!r}")
-
-        return handler
-
-    def _make_fast_handler(self, rank: int):
-        """Generic-protocol rank handler for the point-to-point tags.
-
-        Collective messages never reach it (they carry their own
-        delivery callback); only the cross-send/cross-back transfers
-        fall through to the rank handler.  The per-message CPU overhead
-        is charged by the :class:`VecMachine` itself.
-        """
-
-        def handler(tag: Any, payload: Any, aux: int) -> None:
-            kind = tag[0]
-            if kind == "cs":
-                self._on_cross_send(tag[1], tag[2], payload)
-            elif kind == "xb":
-                self._on_cross_back(tag[1], tag[2], rank, payload)
-            else:  # pragma: no cover - protocol safety net
-                raise RuntimeError(f"unknown message tag {tag!r}")
 
         return handler
 
@@ -509,7 +466,7 @@ class SimulatedPSelInv:
             plan.col_reduce,
         ) if plan.blocks else ()
         for spec in specs:
-            tree = cache.get(("v", spec.key))  # not the TreeArrays key
+            tree = cache.get(("v", spec.key))  # not the CommTree key
             if tree is None:
                 tree = cache[("v", spec.key)] = compiled_tree(
                     self.scheme, spec.root, spec.participants,

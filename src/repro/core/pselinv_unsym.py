@@ -31,8 +31,10 @@ from scipy.linalg import solve_triangular
 
 from ..comm.collectives import TreeBroadcast, TreeReduce
 from ..comm.trees import build_tree
+from ..simulate import DEFAULT_ENGINE
 from ..simulate.machine import Machine, Message
 from ..simulate.network import Network, NetworkConfig
+from ..simulate.vec import VecMachine
 from ..sparse.factor import SupernodalFactor
 from ..sparse.selinv import SelectedInverse
 from ..sparse.supernodes import SupernodalStructure
@@ -132,7 +134,10 @@ class SimulatedPSelInvUnsym:
             grid.size, network,
             placement_seed=placement_seed, jitter_seed=jitter_seed,
         )
-        self.machine = Machine(grid.size, net)
+        # The default engine's machine: the closure handlers below run
+        # unchanged on either one, with bit-identical outcomes.
+        machine_cls = VecMachine if DEFAULT_ENGINE == "vectorized" else Machine
+        self.machine: Machine = machine_cls(grid.size, net)
         if plans is not None:
             self.plans = plans
         else:

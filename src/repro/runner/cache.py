@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from ..simulate import DEFAULT_ENGINE
-
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.grid import ProcessorGrid
     from ..sparse import AnalyzedProblem
@@ -114,23 +112,21 @@ def get_tree_cache(
     scheme: str,
     seed: int,
     hybrid_threshold: int = 8,
-    engine: str = DEFAULT_ENGINE,
 ) -> dict:
     """Shared communication-tree cache for one simulation configuration.
 
     Trees depend on ``(struct, grid, scheme, seed, hybrid_threshold)``
-    -- and on the engine, which fixes the cached representation
-    (``CompiledTree`` or, for numeric/telemetry/trace-log runs,
-    positional ``TreeArrays`` for vectorized; dict ``CommTree`` for
-    legacy) -- but
-    not on jitter/placement seeds, so repeated runs of a sweep point
-    share one cache -- the same sharing the serial Fig. 8 loop used.
-    Problems outside the memo get a fresh private cache.
+    but not on jitter/placement seeds or on the engine, so repeated runs
+    of a sweep point share one cache -- the same sharing the serial
+    Fig. 8 loop used.  The Python protocol keeps its dict ``CommTree``
+    trees in it and the kernel's protocol its ``CompiledTree`` trees,
+    under distinct keys.  Problems outside the memo get a fresh private
+    cache.
     """
     pkey = problem_key_of(prob)
     if pkey is None:
         return {}
-    key = (*pkey, grid.pr, grid.pc, scheme, seed, hybrid_threshold, engine)
+    key = (*pkey, grid.pr, grid.pc, scheme, seed, hybrid_threshold)
     cache = _TREE_CACHES.get(key)
     if cache is None:
         _STATS["tree_cache_misses"] += 1

@@ -196,8 +196,7 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
     grid = ProcessorGrid(*spec.grid)
     plans = cache.get_plans(prob, grid)
     tree_cache = cache.get_tree_cache(
-        prob, grid, spec.scheme, spec.seed, spec.hybrid_threshold,
-        engine=spec.engine,
+        prob, grid, spec.scheme, spec.seed, spec.hybrid_threshold
     )
     telemetry = None
     if spec.telemetry:

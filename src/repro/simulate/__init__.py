@@ -21,8 +21,9 @@ from .vec import VecCommStats, VecMachine, VecSimulator
 #: checked against.
 ENGINES = ("vectorized", "legacy")
 #: The DES engine every entry point uses unless ``engine=`` says
-#: otherwise (``SimulatedPSelInv``, ``ExperimentSpec``, the runner's tree
-#: caches and the CLI ``--engine`` option all read this one constant):
+#: otherwise (``SimulatedPSelInv``, ``ExperimentSpec`` and the CLI
+#: ``--engine`` option all read this one constant, and
+#: ``SimulatedPSelInvUnsym`` builds its machine):
 #: the vectorized engine, or the legacy one if the kernel cannot be built.
 DEFAULT_ENGINE = "vectorized" if _native.kernel is not None else "legacy"
 if _native.kernel is None:

@@ -191,6 +191,7 @@ class Machine:
         event_log: list | None = None,
         recorder=None,
         metrics=None,
+        deliver_cpu_overhead: float = 0.0,
     ):
         if network.nranks < nranks:
             raise ValueError("network sized for fewer ranks than requested")
@@ -211,6 +212,10 @@ class Machine:
         self.metrics = metrics
         self._init_resources(nranks)
         self._recv_overhead = network.config.receive_overhead
+        # Software tax charged on the receiver's CPU per delivered
+        # message, just before its handler runs (models the
+        # less-optimized v0.7.3 code path).
+        self._deliver_oh = float(deliver_cpu_overhead)
         # Pre-bound network queries: post_send/_receive run once per
         # message, and the two attribute hops per call add up.
         self._injection_time = network.injection_time
@@ -339,6 +344,8 @@ class Machine:
         fn = self._handlers[msg.dst]
         if fn is None:
             raise RuntimeError(f"no handler installed on rank {msg.dst}")
+        if self._deliver_oh > 0.0:
+            self.post_compute(msg.dst, self._deliver_oh, label="msg-overhead")
         fn(msg)
 
     # -- computation -------------------------------------------------------------

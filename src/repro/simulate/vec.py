@@ -22,10 +22,13 @@ The default execution engine (``engine="vectorized"``).  The heapq
   supernode's tables); ``send_pt`` exposes the route with a Python
   delivery callback.
 
-  Messages with payloads, and every message when a hook is attached
-  (telemetry recorder, trace log, instrumented network), take the
-  *generic route*: Python stages that call the kernel for their clock
-  and stats updates and schedule through its one push.
+  Every other run -- numeric, hooked (telemetry recorder, trace log,
+  instrumented network) or unsymmetric -- runs the one Python protocol
+  (the closure handlers over :class:`~repro.comm.collectives.TreeBroadcast`
+  / :class:`~repro.comm.collectives.TreeReduce`, exactly as on the
+  legacy machine) over the *generic route*: :meth:`VecMachine.post_send`
+  carries a :class:`Message` through Python stages that call the kernel
+  for their clock and stats updates and schedule through its one push.
 
 Every timestamp expression is term-for-term identical to the legacy
 machine's; the engine-identity suite drives both engines over the fig8
@@ -207,16 +210,14 @@ class VecMachine(Machine):
     * **Point route** -- the kernel's payload-less sends: the receive
       stage runs in C and the delivery runs the kernel's protocol or,
       through ``send_pt`` (bound only when no hook is attached), calls
-      ``cb(dst, None, aux)``.  A per-delivery
-      CPU tax (``deliver_cpu_overhead``, the protocol layer's
-      ``per_message_cpu_overhead``) is charged there too.
-    * **Generic route** -- :meth:`send` carries a payload and an
-      optional delivery callback ``cb(dst, payload, aux)`` as one
-      record tuple; its Python stages feed the trace log and telemetry
-      hooks and call the kernel (``transmit``/``receive``/``compute``)
-      for clocks and stats.  Messages without a callback go to the
-      rank's fast handler ``fn(tag, payload, aux)`` or the legacy
-      ``fn(msg)`` handler.
+      ``cb(dst, None, aux)``.  The per-delivery CPU tax
+      (``deliver_cpu_overhead``) is charged there too.
+    * **Generic route** -- :meth:`post_send` carries the
+      :class:`Message` it builds; its Python stages feed the trace log
+      and telemetry hooks, call the kernel
+      (``transmit``/``receive``/``compute``) for clocks and stats, and
+      deliver through :meth:`Machine._deliver` to the rank's
+      :meth:`set_handler` handler.
     """
 
     _stats_cls = VecCommStats
@@ -239,18 +240,16 @@ class VecMachine(Machine):
             event_log=event_log,
             recorder=recorder,
             metrics=metrics,
+            deliver_cpu_overhead=deliver_cpu_overhead,
         )
         k = self.sim
         stats = self.stats
-        self._deliver_oh = float(deliver_cpu_overhead)
         # An instrumented network must be queried through its methods,
         # so the net.* telemetry tallies fire.
         self._inline_net = not network._instrumented
         # Category interning: id -> name.
         self._cat_ids: dict[str, int] = {}
         self._cat_names: list[str] = []
-        # Fast per-rank handlers: fn(tag, payload, aux) -> None.
-        self._fast_handlers: list[Any] = [None] * nranks
         k.attach_machine(
             nranks,
             network._inj_overhead,
@@ -269,8 +268,8 @@ class VecMachine(Machine):
                 stats._compute_busy,
             ),
         )
-        self._hid_receive = k.register_handler(self._receive_rec)
-        self._hid_deliver = k.register_handler(self._deliver_rec)
+        self._hid_receive = k.register_handler(self._receive)
+        self._hid_deliver = k.register_handler(self._deliver)
         if self._rec is None and self._event_log is None and self._inline_net:
             self.send_pt = k.send_pt
 
@@ -292,14 +291,6 @@ class VecMachine(Machine):
             self._cat_names.append(category)
         return cid
 
-    def set_fast_handler(self, rank: int, fn) -> None:
-        """Install ``rank``'s fast handler ``fn(tag, payload, aux)``.
-
-        Takes precedence over the legacy :meth:`set_handler` handler for
-        messages sent without a delivery callback.
-        """
-        self._fast_handlers[rank] = fn
-
     def _bind_columns(self, cid: int, received: int):
         """The kernel's first use of category ``cid``: create its stats
         columns -- ``(sent, counts)``, or the received column."""
@@ -318,11 +309,6 @@ class VecMachine(Machine):
         self._closed = True
         self.sim.clear()
 
-    def _message_view(self, rec: tuple) -> Message:
-        """Materialize a :class:`Message` for the hooks and handlers."""
-        src, dst, tag, nbytes, cid, payload = rec[:6]
-        return Message(src, dst, tag, nbytes, self._cat_names[cid], payload)
-
     # -- generic route -------------------------------------------------------
 
     def post_send(
@@ -334,34 +320,20 @@ class VecMachine(Machine):
         category: str,
         payload: Any = None,
     ) -> None:
-        """Legacy-signature send (resolves the category per call)."""
-        self.send(src, dst, tag, nbytes, self.category_id(category), payload)
-
-    def send(
-        self,
-        src: int,
-        dst: int,
-        tag: Any,
-        nbytes: int,
-        cid: int,
-        payload: Any = None,
-        cb=None,
-        aux: int = 0,
-    ) -> None:
-        """Send with a pre-interned category and an optional delivery
-        callback ``cb(dst, payload, aux)``.  Cost model identical to
-        :meth:`Machine.post_send`."""
+        """:meth:`Machine.post_send` on the kernel's clocks and stats:
+        the same :class:`Message`, hooks and cost model."""
         nbytes = int(nbytes)
+        msg = Message(src, dst, tag, nbytes, category, payload)
         k = self.sim
         now = k.now
         if self._event_log is not None:
             self._event_log.append(TraceEvent("send", now, src, dst, tag, nbytes))
-        rec = (src, dst, tag, nbytes, cid, payload, cb, aux)
         if src == dst:
             if self._rec is not None:
-                self._rec.record_local(self._message_view(rec), now)
-            k.schedule_msg(now, self._hid_deliver, rec)
+                self._rec.record_local(msg, now)
+            k.schedule_msg(now, self._hid_deliver, msg)
             return
+        cid = self.category_id(category)
         if self._inline_net:
             start, finish, arrival = k.transmit(src, dst, nbytes, cid)
         else:
@@ -371,13 +343,12 @@ class VecMachine(Machine):
                 self._transit_time(src, dst, nbytes),
             )
         if self._rec is not None:
-            self._rec.record_send(
-                self._message_view(rec), now, start, finish, arrival
-            )
-        k.schedule_msg(arrival, self._hid_receive, rec)
+            self._rec.record_send(msg, now, start, finish, arrival)
+        k.schedule_msg(arrival, self._hid_receive, msg)
 
-    def _receive_rec(self, rec: tuple) -> None:
-        dst, nbytes, cid = rec[1], rec[3], rec[4]
+    def _receive(self, msg: Message) -> None:
+        dst, nbytes = msg.dst, msg.nbytes
+        cid = self._cat_ids[msg.category]
         k = self.sim
         if self._inline_net:
             nic_start, nic_done, start, deliver_at = k.receive(dst, nbytes, cid)
@@ -386,33 +357,8 @@ class VecMachine(Machine):
                 dst, nbytes, cid, self._ejection_time(nbytes)
             )
         if self._rec is not None:
-            self._rec.record_receive(
-                self._message_view(rec), nic_start, nic_done, start, deliver_at
-            )
-        k.schedule_msg(deliver_at, self._hid_deliver, rec)
-
-    def _deliver_rec(self, rec: tuple) -> None:
-        src, dst, tag, nbytes, cid, payload, cb, aux = rec
-        now = self.sim.now
-        if self._rec is not None:
-            self._rec.record_deliver(self._message_view(rec), now)
-        if self._event_log is not None:
-            self._event_log.append(
-                TraceEvent("deliver", now, src, dst, tag, nbytes)
-            )
-        if self._deliver_oh > 0.0:
-            self.post_compute(dst, self._deliver_oh, label="msg-overhead")
-        if cb is not None:
-            cb(dst, payload, aux)
-            return
-        fh = self._fast_handlers[dst]
-        if fh is not None:
-            fh(tag, payload, aux)
-            return
-        fn = self._handlers[dst]
-        if fn is None:
-            raise RuntimeError(f"no handler installed on rank {dst}")
-        fn(self._message_view(rec))
+            self._rec.record_receive(msg, nic_start, nic_done, start, deliver_at)
+        k.schedule_msg(deliver_at, self._hid_deliver, msg)
 
     def post_compute(
         self,

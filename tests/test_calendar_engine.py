@@ -243,26 +243,6 @@ class TestVecMachineParity:
             m.run()
             assert got == [(0, "hello")]
 
-    def test_fast_handler_takes_precedence(self):
-        _, m = _machines()
-        got = []
-        m.set_handler(1, lambda msg: got.append("legacy"))
-        m.set_fast_handler(1, lambda tag, payload, aux: got.append(
-            ("fast", tag, payload, aux)))
-        m.post_send(0, 1, "t", 100, "test", payload="p")
-        m.run()
-        assert got == [("fast", "t", "p", 0)]
-
-    def test_delivery_callback_routes_past_handlers(self):
-        _, m = _machines()
-        got = []
-        m.set_fast_handler(1, lambda *a: got.append("handler"))
-        cid = m.category_id("test")
-        m.send(0, 1, "t", 64, cid, "p", lambda dst, payload, aux: got.append(
-            ("cb", dst, payload, aux)), 7)
-        m.run()
-        assert got == [("cb", 1, "p", 7)]
-
     def test_missing_handler_raises(self):
         for m in _machines():
             m.post_send(0, 1, "t", 10, "x")

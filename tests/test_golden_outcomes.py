@@ -22,7 +22,7 @@ import pytest
 
 from repro.core import ProcessorGrid, SimulatedPSelInv
 from repro.core.pselinv_unsym import SimulatedPSelInvUnsym
-from repro.simulate import ENGINES, NetworkConfig
+from repro.simulate import DEFAULT_ENGINE, ENGINES, NetworkConfig
 from repro.sparse import analyze, factorize
 from repro.workloads import make_workload
 
@@ -78,7 +78,9 @@ def _problem():
     return _PROBLEM
 
 
-def outcome(name: str, engine: str) -> tuple[int, str, str]:
+def outcome(
+    name: str, engine: str, tree_cache: dict | None = None
+) -> tuple[int, str, str]:
     scheme, grid, numeric, overhead, unsym = CASES[name]
     prob = _problem()
     common = dict(
@@ -87,23 +89,28 @@ def outcome(name: str, engine: str) -> tuple[int, str, str]:
     )
     factor = factorize(prob.matrix, prob.struct) if numeric else None
     if unsym:
+        # No ``engine=``: the unsymmetric simulation runs on the default
+        # engine's machine.
+        assert engine == DEFAULT_ENGINE
         sim = SimulatedPSelInvUnsym(
             prob.struct, ProcessorGrid(*grid), scheme, **common
         )
     else:
         sim = SimulatedPSelInv(
             prob.struct, ProcessorGrid(*grid), scheme, factor=factor,
-            per_message_cpu_overhead=overhead, engine=engine, **common,
+            per_message_cpu_overhead=overhead, engine=engine,
+            tree_cache=tree_cache, **common,
         )
     res = sim.run()
     return res.events, float(res.makespan).hex(), stats_digest(res.stats)
 
 
-# The unsymmetric simulation runs on the legacy machine only.
+# The unsymmetric simulation runs on the default engine's machine (its
+# golden was recorded on the legacy one).
 RUNS = [
     (name, engine)
     for name in sorted(CASES)
-    for engine in (("legacy",) if CASES[name][4] else ENGINES)
+    for engine in ((DEFAULT_ENGINE,) if CASES[name][4] else ENGINES)
 ]
 
 
@@ -117,6 +124,35 @@ def test_golden_outcome(name, engine):
     )
 
 
+class _CountingCache(dict):
+    """A tree cache that counts the Python protocol's lookups."""
+
+    hits = misses = 0
+
+    def get(self, key, default=None):
+        if key in self:
+            self.hits += 1
+        else:
+            self.misses += 1
+        return super().get(key, default)
+
+
+def test_tree_cache_is_shared_across_engines():
+    """Trees built by a legacy numeric run serve a vectorized numeric run
+    of the same configuration: every lookup hits, nothing is rebuilt, and
+    the outcome is still the golden one."""
+    name = "shifted-4x4-numeric"
+    cache = _CountingCache()
+    assert outcome(name, "legacy", cache) == GOLDEN[name]
+    built = dict(cache)
+    assert cache.misses == len(built) - 1 > 0  # one build per tree
+    cache.hits = cache.misses = 0
+    assert outcome(name, "vectorized", cache) == GOLDEN[name]
+    assert cache.misses == 0 and cache.hits == len(built) - 1
+    assert all(cache[k] is v for k, v in built.items())
+
+
 if __name__ == "__main__":
     for case in sorted(CASES):
-        print(f"    {case!r}: {outcome(case, 'legacy')!r},")
+        engine = DEFAULT_ENGINE if CASES[case][4] else "legacy"
+        print(f"    {case!r}: {outcome(case, engine)!r},")

@@ -6,7 +6,7 @@ owned is freed when it retires (the kernel's protocol tables) or by
 refcounting -- which is what lets ``Machine.run`` pause the cyclic
 collector for the drain without leaking.  These tests pin both halves of
 that contract on every engine (and on numeric runs, which take the
-generic protocol), the release of per-run buffers once a simulation is
+Python protocol), the release of per-run buffers once a simulation is
 over -- a closed machine's kernel holds no pending event arguments and
 no protocol tables, and the kernel is visible to the collector -- and
 the single default engine every entry point agrees on.
@@ -34,8 +34,9 @@ from repro.sparse import analyze, factorize
 from repro.workloads import make_workload
 
 # Each engine, plus "generic": the default engine serving a numeric run,
-# which takes the array-collective protocol instead of the compiled one,
-# and "legacy-numeric": the legacy engine serving a numeric run.
+# which runs the Python handler protocol (TreeBroadcast/TreeReduce) on
+# the kernel's machine instead of the kernel's own protocol, and
+# "legacy-numeric": the legacy engine serving a numeric run.
 RUNS = (*ENGINES, "generic", "legacy-numeric")
 
 
@@ -265,10 +266,8 @@ def test_every_entry_point_defaults_to_one_engine(problem):
         == DEFAULT_ENGINE
     )
     assert ExperimentSpec("audikw_1", (2, 2), "shifted").engine == DEFAULT_ENGINE
-    assert (
-        inspect.signature(cache.get_tree_cache).parameters["engine"].default
-        == DEFAULT_ENGINE
-    )
+    # Trees do not depend on the engine, so neither does their cache.
+    assert "engine" not in inspect.signature(cache.get_tree_cache).parameters
     subparsers = next(
         a for a in build_parser()._actions
         if isinstance(a, argparse._SubParsersAction)

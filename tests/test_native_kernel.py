@@ -192,21 +192,31 @@ def _outcome(m, got):
 
 @pytest.mark.parametrize("overhead", [0.0, 3e-7])
 def test_point_route_matches_generic_route(overhead):
-    """Native point route == the Python record route (forced by a trace
-    log), per-delivery tax included."""
+    """Native point route == the Python generic route (forced by a trace
+    log: ``post_send`` plus a rank handler calling the same callback,
+    ``aux`` carried in the tag), per-delivery tax included."""
     outs = []
     for event_log in (None, []):
         m = VecMachine(8, Network(8, NetworkConfig(**_NET), jitter_seed=4),
                        event_log=event_log, deliver_cpu_overhead=overhead)
         native = event_log is None
         assert hasattr(m, "send_pt") == native
+        got: list = []
         if native:
             assert m.send_pt == m.sim.send_pt
             send_pt = m.send_pt
         else:
+            names = {m.category_id(c): c for c in ("a", "b")}
+
+            def handler(msg):
+                _, (cb, aux) = msg.tag
+                cb(msg.dst, msg.payload, aux)
+
+            for r in range(m.nranks):
+                m.set_handler(r, handler)
+
             def send_pt(src, dst, tag, nbytes, cid, cb, aux, m=m):
-                m.send(src, dst, tag, nbytes, cid, None, cb, aux)
-        got: list = []
+                m.post_send(src, dst, (tag, (cb, aux)), nbytes, names[cid])
         _traffic(m, send_pt, got)
         m.run()
         outs.append(_outcome(m, got))

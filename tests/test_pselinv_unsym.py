@@ -17,6 +17,7 @@ from repro.core import (
     run_pselinv_unsym,
     unsym_supernode_plan,
 )
+from repro.simulate import DEFAULT_ENGINE, Machine, VecMachine, _native
 from repro.sparse import analyze, from_dense
 from repro.sparse.factor import factorize
 from repro.sparse.selinv import normalize, selected_inversion
@@ -56,6 +57,17 @@ class TestUnsymMatchesOracle:
             prob.struct, ProcessorGrid(2, 5), scheme, factor=raw, seed=7
         ).run()
         assert np.abs(res.inverse.to_dense_at_structure() - want).max() < 1e-9
+
+
+def test_runs_on_the_default_engine_machine(unsym_problem):
+    """The mirrored protocol runs on the native kernel's machine when the
+    kernel is available, else on the legacy one."""
+    sim = SimulatedPSelInvUnsym(unsym_problem[0].struct, ProcessorGrid(2, 2))
+    if _native.kernel is not None:
+        assert DEFAULT_ENGINE == "vectorized"
+        assert isinstance(sim.machine, VecMachine)
+    else:
+        assert type(sim.machine) is Machine
 
 
 class TestUnsymWindowing:
